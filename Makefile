@@ -36,9 +36,10 @@ fuzz:
 	$(GO) test ./internal/journal -fuzz=FuzzJournalDecode -fuzztime=20s
 
 # Allocation gates: the per-row hot paths (frame encode, health scoring,
-# stream ingest, compiled-plan LW sampling) must not allocate.
+# stream ingest, compiled-plan LW sampling) must not allocate, and exact
+# inference for P(D) on kertmon's discrete model stays within its budget.
 alloc:
-	$(GO) test ./internal/wire ./internal/health ./internal/infer ./internal/dataset -run 'ZeroAlloc|DoesNotAllocate' -count=1 -v
+	$(GO) test ./internal/wire ./internal/health ./internal/infer ./internal/dataset -run 'ZeroAlloc|DoesNotAllocate|AllocBudget' -count=1 -v
 
 # Differential tests: LW and Gibbs posteriors against the exact oracles.
 differential:

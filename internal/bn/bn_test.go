@@ -2,9 +2,11 @@ package bn
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
+	"kertbn/internal/factor"
 	"kertbn/internal/stats"
 )
 
@@ -201,6 +203,70 @@ func TestTabularFactorMatchesCPT(t *testing.T) {
 	}
 	if f.At([]int{1, 0}) != 0.4 {
 		t.Fatalf("factor entry wrong: %v", f.Values)
+	}
+}
+
+// referenceTabularFactor is the entry-by-entry conversion Tabular.Factor
+// replaced: each row's parent assignment is decoded and every entry is
+// placed with Set.
+func referenceTabularFactor(t *Tabular, nodeID int, parentIDs []int) *factor.Factor {
+	vars := append(append([]int(nil), parentIDs...), nodeID)
+	card := append(append([]int(nil), t.ParentCard...), t.Card)
+	f := factor.New(vars, card)
+	assign := make([]int, len(vars))
+	for cfg := 0; cfg < t.Rows(); cfg++ {
+		pa := t.ConfigAssignment(cfg)
+		for s := 0; s < t.Card; s++ {
+			for i, v := range f.Vars {
+				if v == nodeID {
+					assign[i] = s
+					continue
+				}
+				for j, p := range parentIDs {
+					if p == v {
+						assign[i] = pa[j]
+						break
+					}
+				}
+			}
+			f.Set(assign, t.P[cfg*t.Card+s])
+		}
+	}
+	return f
+}
+
+// TestTabularFactorMatchesReference: the strided copy equals the
+// entry-by-entry conversion bit for bit, with the parent ids all below the
+// node id (a plain copy), all above it, and on both sides of it.
+func TestTabularFactorMatchesReference(t *testing.T) {
+	rng := stats.NewRNG(11)
+	for _, tc := range []struct {
+		node    int
+		parents []int
+	}{
+		{9, []int{1, 4, 6}},
+		{0, []int{2, 3, 7}},
+		{5, []int{1, 3, 8, 9}},
+		{4, nil},
+	} {
+		parentCard := make([]int, len(tc.parents))
+		for i := range parentCard {
+			parentCard[i] = 1 + rng.Intn(4)
+		}
+		tab := NewTabular(2+rng.Intn(3), parentCard)
+		for i := range tab.P {
+			tab.P[i] = rng.Float64()
+		}
+		got := tab.Factor(tc.node, tc.parents)
+		want := referenceTabularFactor(tab, tc.node, tc.parents)
+		if !slices.Equal(got.Vars, want.Vars) || !slices.Equal(got.Card, want.Card) {
+			t.Fatalf("node %d parents %v: scope %v/%v, want %v/%v", tc.node, tc.parents, got.Vars, got.Card, want.Vars, want.Card)
+		}
+		for i := range want.Values {
+			if math.Float64bits(got.Values[i]) != math.Float64bits(want.Values[i]) {
+				t.Fatalf("node %d parents %v: entry %d = %v, want %v", tc.node, tc.parents, i, got.Values[i], want.Values[i])
+			}
+		}
 	}
 }
 

@@ -155,35 +155,16 @@ func (t *Tabular) Sample(rng *stats.RNG, parents []float64) float64 {
 
 // Factor renders the CPT as a discrete factor over (node, parents) given
 // the node's variable id and its parent ids (sorted ascending, matching the
-// owning Network). Used by variable elimination.
+// owning Network). P is already row-major over (parents..., node), so this
+// is a strided copy of P, and a plain copy when the node id exceeds every
+// parent id, as in every KERT-BN. Used by variable elimination.
 func (t *Tabular) Factor(nodeID int, parentIDs []int) *factor.Factor {
 	if len(parentIDs) != len(t.ParentCard) {
 		panic("bn: Factor parent arity mismatch")
 	}
 	vars := append(append([]int(nil), parentIDs...), nodeID)
 	card := append(append([]int(nil), t.ParentCard...), t.Card)
-	f := factor.New(vars, card)
-	assign := make([]int, len(vars))
-	for cfg := 0; cfg < t.Rows(); cfg++ {
-		pa := t.ConfigAssignment(cfg)
-		for s := 0; s < t.Card; s++ {
-			// Build assignment in f's (sorted) variable order.
-			for i, v := range f.Vars {
-				if v == nodeID {
-					assign[i] = s
-					continue
-				}
-				for j, p := range parentIDs {
-					if p == v {
-						assign[i] = pa[j]
-						break
-					}
-				}
-			}
-			f.Set(assign, t.P[cfg*t.Card+s])
-		}
-	}
-	return f
+	return factor.FromTable(vars, card, t.P)
 }
 
 // ParamCount returns the number of free parameters (rows * (card-1)).

@@ -385,10 +385,10 @@ func (ik *IncrementalKERT) Build() (*Model, error) {
 		incInvalidations.Inc()
 	}
 	var m *Model
-	err = ik.stream.View(func(rows int) error {
+	err = ik.stream.View(func(win *dataset.Window) error {
 		var err error
 		if ik.cfg.Type == ContinuousModel {
-			m, err = ik.buildContinuous(sp)
+			m, err = ik.buildContinuous(sp, win)
 		} else {
 			m, err = ik.buildDiscrete(sp)
 		}
@@ -448,7 +448,9 @@ func (ik *IncrementalKERT) bindAccumulators() ([]dataset.Accumulator, error) {
 	return []dataset.Accumulator{acc}, nil
 }
 
-func (ik *IncrementalKERT) buildContinuous(sp *obs.Span) (*Model, error) {
+// buildContinuous refits the continuous model; it runs under the stream
+// lock, so it reads the buffered rows through win.
+func (ik *IncrementalKERT) buildContinuous(sp *obs.Span, win *dataset.Window) (*Model, error) {
 	cfg := ik.cfg
 	st := sp.Child("build.kert.structure")
 	net, err := buildStructure(cfg, ik.n, false, 0)
@@ -473,7 +475,7 @@ func (ik *IncrementalKERT) buildContinuous(sp *obs.Span) (*Model, error) {
 			// auto leak range is the one quantity still derived from a
 			// window scan; pin LeakLo/LeakHi to avoid it.
 			lo, hi := math.Inf(1), math.Inf(-1)
-			for _, r := range ik.stream.Snapshot().Rows {
+			for _, r := range win.Snapshot().Rows {
 				lo = math.Min(lo, r[ik.dID])
 				hi = math.Max(hi, r[ik.dID])
 			}
@@ -736,8 +738,8 @@ func (in *IncrementalNRT) Build() (*Model, error) {
 		incInvalidations.Inc()
 	}
 	var m *Model
-	err = in.stream.View(func(rows int) error {
-		if rows == 0 {
+	err = in.stream.View(func(win *dataset.Window) error {
+		if win.Len() == 0 {
 			return fmt.Errorf("core: empty training data")
 		}
 		var err error

@@ -57,6 +57,64 @@ func TestIncrementalKERTContinuousEquivalence(t *testing.T) {
 	}
 }
 
+// A continuous model with Leak > 0 and the leak range left unpinned
+// derives that range from the buffered rows inside the build, which runs
+// under the stream lock. The build must return (it reads the window it
+// holds the lock for) and match a from-scratch BuildKERT within 1e-9.
+func TestIncrementalKERTContinuousLeakEquivalence(t *testing.T) {
+	sys := simsvc.EDiaMoNDSystem()
+	rng := stats.NewRNG(31)
+	cfg := DefaultKERTConfig(sys.Workflow)
+	cfg.Leak = 0.05
+	const window = 120
+	ik, err := NewIncrementalKERT(cfg, window)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := sys.GenerateDataset(2*window+17, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, row := range data.Rows {
+		if err := ik.Ingest(row); err != nil {
+			t.Fatal(err)
+		}
+		if i != window-1 && i != len(data.Rows)-1 {
+			continue
+		}
+		type built struct {
+			m   *Model
+			err error
+		}
+		done := make(chan built, 1)
+		go func() {
+			m, err := ik.Build()
+			done <- built{m, err}
+		}()
+		var inc *Model
+		select {
+		case b := <-done:
+			if b.err != nil {
+				t.Fatal(b.err)
+			}
+			inc = b.m
+		case <-time.After(10 * time.Second):
+			t.Fatalf("row %d: IncrementalKERT.Build did not return within 10s (leak range read deadlocked on the stream lock)", i)
+		}
+		full, err := BuildKERT(cfg, ik.Snapshot())
+		if err != nil {
+			t.Fatal(err)
+		}
+		diff, err := MaxParamDiff(inc, full)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if diff > 1e-9 {
+			t.Fatalf("row %d: incremental vs full param diff %g > 1e-9", i, diff)
+		}
+	}
+}
+
 // Discrete models: with the codec frozen by the first incremental build,
 // count-based refits and the pooled Monte-Carlo D-CPT must reproduce a full
 // BuildKERT (given the same codec) exactly.

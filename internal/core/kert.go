@@ -457,9 +457,11 @@ func detCPTFromPools(cfg KERTConfig, codec *dataset.Codec, dDisc *dataset.Discre
 	row := make([]float64, cfg.Bins)
 	samples := cfg.DetCPTSamples
 	f := cfg.metricFunc()
+	// assign holds row cfgIdx's parent bins. It steps like an odometer,
+	// last parent fastest: the row order ConfigAssignment decodes.
+	assign := make([]int, n)
 
 	for cfgIdx := 0; cfgIdx < tab.Rows(); cfgIdx++ {
-		assign := tab.ConfigAssignment(cfgIdx)
 		for k := range row {
 			row[k] = cfg.Leak / float64(cfg.Bins)
 		}
@@ -487,6 +489,12 @@ func detCPTFromPools(cfg KERTConfig, codec *dataset.Codec, dDisc *dataset.Discre
 		}
 		if err := tab.SetRow(cfgIdx, row); err != nil {
 			return nil, cost, err
+		}
+		for i := n - 1; i >= 0; i-- {
+			if assign[i]++; assign[i] < cfg.Bins {
+				break
+			}
+			assign[i] = 0
 		}
 	}
 	return tab, cost, nil

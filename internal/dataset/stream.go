@@ -127,11 +127,13 @@ func (s *Stream) Bound() (hash uint64, ok bool) {
 
 // View runs f under the stream lock, excluding concurrent Push/Bind, so a
 // rebuild can read consistent accumulator state (via references retained
-// from its build closure) while ingest continues on other goroutines.
-func (s *Stream) View(f func(n int) error) error {
+// from its build closure) while ingest continues on other goroutines. f
+// reads the buffered rows through the window it is passed; it must not
+// call the stream's own methods, which take the lock f runs under.
+func (s *Stream) View(f func(w *Window) error) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return f(s.win.Len())
+	return f(s.win)
 }
 
 // Len returns the number of buffered rows.

@@ -88,9 +88,9 @@ func TestStreamConcurrentIngestAndView(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 200; i++ {
-			s.View(func(n int) error {
-				if acc.rows != n {
-					t.Errorf("torn view: acc rows %d != window len %d", acc.rows, n)
+			s.View(func(w *Window) error {
+				if acc.rows != w.Len() {
+					t.Errorf("torn view: acc rows %d != window len %d", acc.rows, w.Len())
 				}
 				return nil
 			})

@@ -3,6 +3,7 @@ package factor
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -49,6 +50,37 @@ func New(vars []int, card []int) *Factor {
 	return f
 }
 
+// FromTable returns a factor holding a copy of values, a table laid out
+// row-major over vars in the order given (the first variable slowest); vars
+// need not be sorted, and card is parallel to them. The table moves to the
+// factor's sorted layout by a strided walk, which for a sorted vars is a
+// single run: a plain copy.
+func FromTable(vars, card []int, values []float64) *Factor {
+	f := New(vars, card)
+	if len(values) != len(f.Values) {
+		panic(fmt.Sprintf("factor: table has %d entries, scope needs %d", len(values), len(f.Values)))
+	}
+	given := strides(card)
+	str := make([]int, len(f.Vars))
+	for i, v := range f.Vars {
+		str[i] = given[indexOf(vars, v)]
+	}
+	od, run, step := newWalk(f.Card, str)
+	for idx := 0; ; idx += run {
+		dst, src := f.Values[idx:idx+run], values[od.off[0]:]
+		if step[0] == 1 {
+			copy(dst, src)
+		} else {
+			for r := range dst {
+				dst[r] = src[r*step[0]]
+			}
+		}
+		if !od.next() {
+			return f
+		}
+	}
+}
+
 // Uniform returns a factor with all entries set to 1.
 func Uniform(vars []int, card []int) *Factor {
 	f := New(vars, card)
@@ -76,26 +108,17 @@ func (f *Factor) Clone() *Factor {
 // Size returns the number of table entries.
 func (f *Factor) Size() int { return len(f.Values) }
 
-// varIndex returns the position of variable v in the scope, or -1.
-func (f *Factor) varIndex(v int) int {
-	for i, u := range f.Vars {
-		if u == v {
-			return i
-		}
-	}
-	return -1
-}
-
 // Contains reports whether v is in the factor's scope.
-func (f *Factor) Contains(v int) bool { return f.varIndex(v) >= 0 }
+func (f *Factor) Contains(v int) bool { return indexOf(f.Vars, v) >= 0 }
 
-// strides returns the row-major stride of each scope position.
-func (f *Factor) strides() []int {
-	s := make([]int, len(f.Vars))
+// strides returns the row-major stride of each position of a scope with
+// the given cardinalities.
+func strides(card []int) []int {
+	s := make([]int, len(card))
 	acc := 1
-	for i := len(f.Vars) - 1; i >= 0; i-- {
+	for i := len(card) - 1; i >= 0; i-- {
 		s[i] = acc
-		acc *= f.Card[i]
+		acc *= card[i]
 	}
 	return s
 }
@@ -134,167 +157,306 @@ func (f *Factor) At(assign []int) float64 { return f.Values[f.Index(assign)] }
 // Set assigns the value at the given assignment.
 func (f *Factor) Set(assign []int, v float64) { f.Values[f.Index(assign)] = v }
 
-// Product returns the factor product f*g over the union scope.
+// Product returns the factor product f*g over the union scope, walking
+// the union in row-major index order (see newWalk).
 func Product(f, g *Factor) *Factor {
-	// Union scope.
-	unionVars, unionCard := unionScope(f, g)
-	out := New(unionVars, unionCard)
-	fMap := scopeMap(out, f)
-	gMap := scopeMap(out, g)
-	assign := make([]int, len(out.Vars))
-	fStr := f.strides()
-	gStr := g.strides()
-	for idx := range out.Values {
-		decode(out, idx, assign)
-		fi, gi := 0, 0
-		for i, pos := range fMap {
-			fi += assign[pos] * fStr[i]
+	out := newSorted(unionScope(f, g))
+	od, run, step := newWalk(out.Card, stridesOver(out.Vars, f), stridesOver(out.Vars, g))
+	for idx := 0; ; {
+		fi, gi := od.off[0], od.off[1]
+		for r := 0; r < run; r++ {
+			out.Values[idx] = f.Values[fi] * g.Values[gi]
+			idx++
+			fi += step[0]
+			gi += step[1]
 		}
-		for i, pos := range gMap {
-			gi += assign[pos] * gStr[i]
+		if !od.next() {
+			return out
 		}
-		out.Values[idx] = f.Values[fi] * g.Values[gi]
-	}
-	return out
-}
-
-// decode fills assign with the assignment for flat index idx (avoids the
-// per-call allocation of Assignment).
-func decode(f *Factor, idx int, assign []int) {
-	for i := len(f.Vars) - 1; i >= 0; i-- {
-		assign[i] = idx % f.Card[i]
-		idx /= f.Card[i]
 	}
 }
 
-func unionScope(f, g *Factor) ([]int, []int) {
-	cards := map[int]int{}
-	for i, v := range f.Vars {
-		cards[v] = f.Card[i]
+// sumProductBlock bounds SumProduct's scratch row of terms.
+const sumProductBlock = 512
+
+// SumProduct returns the product of fs with variable v summed out, without
+// building the product: for each output entry, in row-major order, it
+// multiplies the operands in slice order (starting from 1) and adds the
+// terms in increasing state of v (starting from 0). Those are the
+// operations, in the order, that folding fs with Product from Scalar(1)
+// and then calling SumOut(v) performs, so the result is bit-identical to
+// that pair.
+func SumProduct(fs []*Factor, v int) *Factor {
+	vars, card := unionScope(fs...)
+	pos := indexOf(vars, v)
+	if pos < 0 {
+		panic(fmt.Sprintf("factor: SumProduct of variable %d not in any scope", v))
 	}
-	for i, v := range g.Vars {
-		if c, ok := cards[v]; ok && c != g.Card[i] {
-			panic(fmt.Sprintf("factor: cardinality clash for var %d: %d vs %d", v, c, g.Card[i]))
+	states := card[pos]
+	vStr := make([]int, len(fs))
+	strides := make([][]int, len(fs))
+	for j, f := range fs {
+		s := stridesOver(vars, f)
+		vStr[j] = s[pos]
+		strides[j] = append(s[:pos], s[pos+1:]...)
+	}
+	out := newSorted(append(vars[:pos], vars[pos+1:]...), append(card[:pos], card[pos+1:]...))
+	od, run, step := newWalk(out.Card, strides...)
+	term := make([]float64, min(run, sumProductBlock))
+	for idx := 0; ; idx += run {
+		// The run is taken a block of terms at a time: per block, each
+		// state of v fills the terms operand by operand, then adds them.
+		for lo := 0; lo < run; lo += len(term) {
+			t := term[:min(len(term), run-lo)]
+			sum := out.Values[idx+lo : idx+lo+len(t)]
+			for k := 0; k < states; k++ {
+				for r := range t {
+					t[r] = 1
+				}
+				for j, f := range fs {
+					// Operands constant along the run (step 0) or
+					// contiguous in it (step 1), the common cases, get
+					// loops without per-term index arithmetic.
+					vals := f.Values[od.off[j]+k*vStr[j]+lo*step[j]:]
+					switch s := step[j]; s {
+					case 0:
+						for r := range t {
+							t[r] *= vals[0]
+						}
+					case 1:
+						for r, x := range vals[:len(t)] {
+							t[r] *= x
+						}
+					default:
+						for r := range t {
+							t[r] *= vals[r*s]
+						}
+					}
+				}
+				for r, p := range t {
+					sum[r] += p
+				}
+			}
 		}
-		cards[v] = g.Card[i]
+		if !od.next() {
+			return out
+		}
 	}
-	vars := make([]int, 0, len(cards))
-	for v := range cards {
-		vars = append(vars, v)
+}
+
+// newWalk prepares a row-major walk over a scope with the given
+// cardinalities for operands with the given strides (strides[j][i] is
+// operand j's stride for variable i, 0 where it lacks the variable). The
+// walk is an inner run of run entries, along which operand j's offset
+// advances by step[j], and an odometer over the variables before the run.
+//
+// Adjacent variables are merged into one digit when every operand walks
+// them contiguously: the walk visits the same entries in the same order,
+// with longer runs and fewer odometer steps. A sorted copy, for example,
+// becomes a single run.
+func newWalk(card []int, strides ...[]int) (od *odometer, run int, step []int) {
+	// Digits are built from the last variable backward. Variable i joins
+	// the digit after it when each operand's stride for i equals that
+	// digit's stride times its cardinality.
+	var dc []int
+	ds := make([][]int, len(strides))
+	for i := len(card) - 1; i >= 0; i-- {
+		d := len(dc) - 1
+		merge := d >= 0
+		for j, s := range strides {
+			merge = merge && s[i] == ds[j][d]*dc[d]
+		}
+		if merge {
+			dc[d] *= card[i]
+			continue
+		}
+		dc = append(dc, card[i])
+		for j, s := range strides {
+			ds[j] = append(ds[j], s[i])
+		}
 	}
-	sort.Ints(vars)
-	card := make([]int, len(vars))
-	for i, v := range vars {
-		card[i] = cards[v]
+	run, step = 1, make([]int, len(strides))
+	if len(dc) > 0 {
+		run, dc = dc[0], dc[1:]
+		for j := range ds {
+			step[j], ds[j] = ds[j][0], ds[j][1:]
+		}
+	}
+	slices.Reverse(dc)
+	for _, s := range ds {
+		slices.Reverse(s)
+	}
+	return newOdometer(dc, ds...), run, step
+}
+
+// odometer is a mixed-radix counter over a scope's variables, the last one
+// fastest, so it visits the scope's entries in row-major index order. It
+// carries one flat offset per operand table; a step adds a precomputed jump
+// to each offset instead of decoding an index with div/mod.
+type odometer struct {
+	card  []int
+	digit []int
+	off   []int
+	// jump[i*len(off)+j] is the change in operand j's offset when digit i
+	// steps and every later digit wraps back to 0.
+	jump []int
+}
+
+// newOdometer starts an odometer at all-zero digits; strides[j][i] is
+// operand j's stride for digit i (0 where the operand lacks the variable).
+func newOdometer(card []int, strides ...[]int) *odometer {
+	n := len(strides)
+	od := &odometer{
+		card:  card,
+		digit: make([]int, len(card)),
+		off:   make([]int, n),
+		jump:  make([]int, len(card)*n),
+	}
+	for j, s := range strides {
+		wrap := 0 // offset change when every digit after i wraps to 0
+		for i := len(card) - 1; i >= 0; i-- {
+			od.jump[i*n+j] = s[i] - wrap
+			wrap += (card[i] - 1) * s[i]
+		}
+	}
+	return od
+}
+
+// next advances to the following entry and reports false after the last.
+func (od *odometer) next() bool {
+	n := len(od.off)
+	for i := len(od.digit) - 1; i >= 0; i-- {
+		od.digit[i]++
+		if od.digit[i] < od.card[i] {
+			for j, d := range od.jump[i*n : i*n+n] {
+				od.off[j] += d
+			}
+			return true
+		}
+		od.digit[i] = 0
+	}
+	return false
+}
+
+// newSorted creates a zeroed factor over an already sorted, duplicate-free
+// scope, taking ownership of vars and card.
+func newSorted(vars, card []int) *Factor {
+	size := 1
+	for _, c := range card {
+		size *= c
+	}
+	return &Factor{Vars: vars, Card: card, Values: make([]float64, size)}
+}
+
+// unionScope merges the sorted scopes of fs.
+func unionScope(fs ...*Factor) ([]int, []int) {
+	var vars, card []int
+	for _, f := range fs {
+		mv := make([]int, 0, len(vars)+len(f.Vars))
+		mc := make([]int, 0, len(vars)+len(f.Vars))
+		i, k := 0, 0
+		for i < len(vars) || k < len(f.Vars) {
+			switch {
+			case k == len(f.Vars) || (i < len(vars) && vars[i] < f.Vars[k]):
+				mv, mc = append(mv, vars[i]), append(mc, card[i])
+				i++
+			case i == len(vars) || f.Vars[k] < vars[i]:
+				mv, mc = append(mv, f.Vars[k]), append(mc, f.Card[k])
+				k++
+			default:
+				if card[i] != f.Card[k] {
+					panic(fmt.Sprintf("factor: cardinality clash for var %d: %d vs %d", vars[i], card[i], f.Card[k]))
+				}
+				mv, mc = append(mv, vars[i]), append(mc, card[i])
+				i++
+				k++
+			}
+		}
+		vars, card = mv, mc
 	}
 	return vars, card
 }
 
-// scopeMap maps each position of inner's scope to its position in outer's.
-func scopeMap(outer, inner *Factor) []int {
-	m := make([]int, len(inner.Vars))
-	for i, v := range inner.Vars {
-		p := outer.varIndex(v)
-		if p < 0 {
-			panic(fmt.Sprintf("factor: scope var %d missing in outer factor", v))
+// stridesOver returns f's stride for each variable of scope, 0 for the
+// variables f lacks. f's scope must be a subset of scope.
+func stridesOver(scope []int, f *Factor) []int {
+	s := make([]int, len(scope))
+	str := strides(f.Card)
+	k := 0
+	for i, v := range scope {
+		if k < len(f.Vars) && f.Vars[k] == v {
+			s[i] = str[k]
+			k++
 		}
-		m[i] = p
 	}
-	return m
+	if k != len(f.Vars) {
+		panic(fmt.Sprintf("factor: scope %v is not a subset of %v", f.Vars, scope))
+	}
+	return s
+}
+
+// indexOf returns the position of v in vars, or -1.
+func indexOf(vars []int, v int) int {
+	for i, u := range vars {
+		if u == v {
+			return i
+		}
+	}
+	return -1
+}
+
+// without returns a zeroed factor over f's scope minus position pos (a
+// scalar factor when pos is the only variable).
+func (f *Factor) without(pos int) *Factor {
+	vars := append(append([]int(nil), f.Vars[:pos]...), f.Vars[pos+1:]...)
+	card := append(append([]int(nil), f.Card[:pos]...), f.Card[pos+1:]...)
+	return newSorted(vars, card)
 }
 
 // SumOut marginalizes variable v out of f, returning a factor over the
 // remaining scope. Summing the last variable out of a single-variable
-// factor yields a scalar factor.
+// factor yields a scalar factor. f is walked in row-major index order as
+// blocks (the variables before v, v, the variables after v), so each output
+// entry adds its terms in increasing state of v, starting from 0.
 func (f *Factor) SumOut(v int) *Factor {
-	pos := f.varIndex(v)
+	pos := indexOf(f.Vars, v)
 	if pos < 0 {
 		panic(fmt.Sprintf("factor: SumOut of variable %d not in scope", v))
 	}
-	newVars := make([]int, 0, len(f.Vars)-1)
-	newCard := make([]int, 0, len(f.Vars)-1)
-	for i, u := range f.Vars {
-		if i == pos {
-			continue
-		}
-		newVars = append(newVars, u)
-		newCard = append(newCard, f.Card[i])
-	}
-	var out *Factor
-	if len(newVars) == 0 {
-		out = Scalar(0)
-	} else {
-		out = New(newVars, newCard)
-	}
-	assign := make([]int, len(f.Vars))
-	outAssign := make([]int, len(newVars))
-	for idx, val := range f.Values {
-		if val == 0 {
-			continue
-		}
-		decode(f, idx, assign)
-		k := 0
-		for i := range assign {
-			if i == pos {
-				continue
+	out := f.without(pos)
+	states, inner := f.Card[pos], strides(f.Card)[pos]
+	for o, fi := 0, 0; fi < len(f.Values); o += inner {
+		dst := out.Values[o : o+inner]
+		for k := 0; k < states; k++ {
+			for r, val := range f.Values[fi : fi+inner] {
+				dst[r] += val
 			}
-			outAssign[k] = assign[i]
-			k++
-		}
-		if len(newVars) == 0 {
-			out.Values[0] += val
-		} else {
-			out.Values[out.Index(outAssign)] += val
+			fi += inner
 		}
 	}
 	return out
 }
 
-// Reduce incorporates evidence v=value by zeroing all inconsistent entries
-// and dropping v from the scope.
+// Reduce incorporates evidence v=value by keeping only the consistent
+// entries and dropping v from the scope: a strided copy of one block per
+// assignment of the variables before v.
 func (f *Factor) Reduce(v, value int) *Factor {
-	pos := f.varIndex(v)
+	pos := indexOf(f.Vars, v)
 	if pos < 0 {
 		panic(fmt.Sprintf("factor: Reduce of variable %d not in scope", v))
 	}
 	if value < 0 || value >= f.Card[pos] {
 		panic(fmt.Sprintf("factor: Reduce value %d out of range for var %d", value, v))
 	}
-	newVars := make([]int, 0, len(f.Vars)-1)
-	newCard := make([]int, 0, len(f.Vars)-1)
-	for i, u := range f.Vars {
-		if i == pos {
-			continue
-		}
-		newVars = append(newVars, u)
-		newCard = append(newCard, f.Card[i])
+	out := f.without(pos)
+	if len(out.Vars) == 0 {
+		// A scalar result is accumulated from +0, as SumOut's is.
+		out.Values[0] += f.Values[value]
+		return out
 	}
-	var out *Factor
-	if len(newVars) == 0 {
-		out = Scalar(0)
-	} else {
-		out = New(newVars, newCard)
-	}
-	assign := make([]int, len(f.Vars))
-	outAssign := make([]int, len(newVars))
-	for idx, val := range f.Values {
-		decode(f, idx, assign)
-		if assign[pos] != value {
-			continue
-		}
-		k := 0
-		for i := range assign {
-			if i == pos {
-				continue
-			}
-			outAssign[k] = assign[i]
-			k++
-		}
-		if len(newVars) == 0 {
-			out.Values[0] += val
-		} else {
-			out.Values[out.Index(outAssign)] = val
-		}
+	states, inner := f.Card[pos], strides(f.Card)[pos]
+	for o, fi := 0, value*inner; o < len(out.Values); o, fi = o+inner, fi+states*inner {
+		copy(out.Values[o:o+inner], f.Values[fi:fi+inner])
 	}
 	return out
 }

@@ -2,6 +2,9 @@ package factor
 
 import (
 	"math"
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -271,5 +274,285 @@ func TestReduceConsistencyProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// The decode-based kernels that the stride walks replaced, kept as the
+// reference oracle: each entry's assignment is decoded from its flat index
+// with div/mod. They are exported (in this test file only) so the VE
+// oracle in ve_test.go, an external test package, can use them too.
+
+// ReferenceProduct is the decode-based factor product.
+func ReferenceProduct(f, g *Factor) *Factor {
+	cards := map[int]int{}
+	for i, v := range f.Vars {
+		cards[v] = f.Card[i]
+	}
+	for i, v := range g.Vars {
+		if c, ok := cards[v]; ok && c != g.Card[i] {
+			panic("reference: cardinality clash")
+		}
+		cards[v] = g.Card[i]
+	}
+	var vars, card []int
+	for v := range cards {
+		vars = append(vars, v)
+	}
+	sort.Ints(vars)
+	for _, v := range vars {
+		card = append(card, cards[v])
+	}
+	out := New(vars, card)
+	assign := make([]int, len(out.Vars))
+	fStr, gStr := strides(f.Card), strides(g.Card)
+	for idx := range out.Values {
+		decode(out, idx, assign)
+		fi, gi := 0, 0
+		for i, v := range f.Vars {
+			fi += assign[indexOf(out.Vars, v)] * fStr[i]
+		}
+		for i, v := range g.Vars {
+			gi += assign[indexOf(out.Vars, v)] * gStr[i]
+		}
+		out.Values[idx] = f.Values[fi] * g.Values[gi]
+	}
+	return out
+}
+
+// ReferenceSumOut is the decode-based marginalization of v.
+func ReferenceSumOut(f *Factor, v int) *Factor {
+	pos := indexOf(f.Vars, v)
+	out, assign, outAssign := referenceDrop(f, pos)
+	for idx, val := range f.Values {
+		if val == 0 {
+			continue
+		}
+		decode(f, idx, assign)
+		keep(assign, pos, outAssign)
+		if len(out.Vars) == 0 {
+			out.Values[0] += val
+		} else {
+			out.Values[out.Index(outAssign)] += val
+		}
+	}
+	return out
+}
+
+// ReferenceReduce is the decode-based evidence reduction v=value.
+func ReferenceReduce(f *Factor, v, value int) *Factor {
+	pos := indexOf(f.Vars, v)
+	out, assign, outAssign := referenceDrop(f, pos)
+	for idx, val := range f.Values {
+		decode(f, idx, assign)
+		if assign[pos] != value {
+			continue
+		}
+		keep(assign, pos, outAssign)
+		if len(out.Vars) == 0 {
+			out.Values[0] += val
+		} else {
+			out.Values[out.Index(outAssign)] = val
+		}
+	}
+	return out
+}
+
+// ReferenceSumProduct is VE's eliminate step as it was: the full product of
+// fs, folded from Scalar(1), then v summed out.
+func ReferenceSumProduct(fs []*Factor, v int) *Factor {
+	prod := Scalar(1)
+	for _, f := range fs {
+		prod = ReferenceProduct(prod, f)
+	}
+	return ReferenceSumOut(prod, v)
+}
+
+// ReferenceFromTable converts a table laid out row-major over vars (in the
+// order given) entry by entry, decoding each index and setting the entry
+// of the sorted factor.
+func ReferenceFromTable(vars, card []int, values []float64) *Factor {
+	f := New(vars, card)
+	given := &Factor{Vars: vars, Card: card}
+	assign := make([]int, len(vars))
+	sorted := make([]int, len(vars))
+	for idx, val := range values {
+		decode(given, idx, assign)
+		for i, v := range f.Vars {
+			sorted[i] = assign[indexOf(vars, v)]
+		}
+		f.Set(sorted, val)
+	}
+	return f
+}
+
+// decode fills assign with the assignment of flat index idx.
+func decode(f *Factor, idx int, assign []int) {
+	for i := len(f.Vars) - 1; i >= 0; i-- {
+		assign[i] = idx % f.Card[i]
+		idx /= f.Card[i]
+	}
+}
+
+// referenceDrop returns a zeroed factor over f's scope minus pos and the
+// assignment buffers for both scopes.
+func referenceDrop(f *Factor, pos int) (*Factor, []int, []int) {
+	var vars, card []int
+	for i, u := range f.Vars {
+		if i != pos {
+			vars = append(vars, u)
+			card = append(card, f.Card[i])
+		}
+	}
+	out := Scalar(0)
+	if len(vars) > 0 {
+		out = New(vars, card)
+	}
+	return out, make([]int, len(f.Vars)), make([]int, len(vars))
+}
+
+// keep copies assign minus position pos into out.
+func keep(assign []int, pos int, out []int) {
+	k := 0
+	for i := range assign {
+		if i != pos {
+			out[k] = assign[i]
+			k++
+		}
+	}
+}
+
+// sameBits reports whether two factors have the same scope and
+// bit-identical values.
+func sameBits(a, b *Factor) bool {
+	if !slices.Equal(a.Vars, b.Vars) || !slices.Equal(a.Card, b.Card) || len(a.Values) != len(b.Values) {
+		return false
+	}
+	for i := range a.Values {
+		if math.Float64bits(a.Values[i]) != math.Float64bits(b.Values[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// randomFactor draws a factor over scope (cardinalities from card, by
+// variable id) whose entries are zero with probability 1/4.
+func randomFactor(rng *rand.Rand, scope []int, card map[int]int) *Factor {
+	c := make([]int, len(scope))
+	for i, v := range scope {
+		c[i] = card[v]
+	}
+	f := New(scope, c)
+	for i := range f.Values {
+		if rng.Intn(4) > 0 {
+			f.Values[i] = rng.Float64()
+		}
+	}
+	return f
+}
+
+// randomScope draws 0–5 distinct variable ids from pool.
+func randomScope(rng *rand.Rand, pool []int) []int {
+	n := rng.Intn(6)
+	if n > len(pool) {
+		n = len(pool)
+	}
+	perm := rng.Perm(len(pool))
+	scope := make([]int, n)
+	for i := range scope {
+		scope[i] = pool[perm[i]]
+	}
+	return scope
+}
+
+// TestKernelsMatchReferenceProperty: on seeded random factors (scopes of
+// 0–5 variables, cardinalities 1–4, overlapping and disjoint scopes, a
+// quarter of the entries zero) Product, SumOut, Reduce and SumProduct
+// return exactly the bits of the decode-based reference kernels.
+func TestKernelsMatchReferenceProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	var scalarSums, scalarReduces, disjoint, overlapping, fused int
+	for trial := 0; trial < 400; trial++ {
+		card := map[int]int{}
+		for v := 0; v < 10; v++ {
+			card[v] = 1 + rng.Intn(4)
+		}
+		// Half the trials draw g from ids disjoint from f's pool.
+		fPool, gPool := []int{0, 1, 2, 3, 4, 5, 6}, []int{2, 3, 4, 5, 6, 7, 8}
+		if trial%2 == 1 {
+			fPool, gPool = []int{0, 2, 4, 6, 8}, []int{1, 3, 5, 7, 9}
+		}
+		f := randomFactor(rng, randomScope(rng, fPool), card)
+		g := randomFactor(rng, randomScope(rng, gPool), card)
+		if len(f.Vars) > 0 && len(g.Vars) > 0 {
+			if len(ReferenceProduct(f, g).Vars) == len(f.Vars)+len(g.Vars) {
+				disjoint++
+			} else {
+				overlapping++
+			}
+		}
+		if got, want := Product(f, g), ReferenceProduct(f, g); !sameBits(got, want) {
+			t.Fatalf("trial %d: Product(%v, %v) = %v, want %v", trial, f.Vars, g.Vars, got.Values, want.Values)
+		}
+		for _, v := range f.Vars {
+			if got, want := f.SumOut(v), ReferenceSumOut(f, v); !sameBits(got, want) {
+				t.Fatalf("trial %d: SumOut(%v, %d) = %v, want %v", trial, f.Vars, v, got.Values, want.Values)
+			}
+			if len(f.Vars) == 1 {
+				scalarSums++
+			}
+			for val := 0; val < card[v]; val++ {
+				if got, want := f.Reduce(v, val), ReferenceReduce(f, v, val); !sameBits(got, want) {
+					t.Fatalf("trial %d: Reduce(%v, %d=%d) = %v, want %v", trial, f.Vars, v, val, got.Values, want.Values)
+				}
+				if len(f.Vars) == 1 {
+					scalarReduces++
+				}
+			}
+		}
+		// The fused step over 1–3 operands, each mentioning v.
+		if len(f.Vars) == 0 {
+			continue
+		}
+		v := f.Vars[rng.Intn(len(f.Vars))]
+		fs := []*Factor{f}
+		for extra := rng.Intn(3); extra > 0; extra-- {
+			scope := randomScope(rng, gPool)
+			if !slices.Contains(scope, v) {
+				scope = append(scope, v)
+			}
+			fs = append(fs, randomFactor(rng, scope, card))
+		}
+		if got, want := SumProduct(fs, v), ReferenceSumProduct(fs, v); !sameBits(got, want) {
+			t.Fatalf("trial %d: SumProduct over %d factors, v=%d: %v, want %v", trial, len(fs), v, got.Values, want.Values)
+		}
+		fused++
+	}
+	if scalarSums == 0 || scalarReduces == 0 || disjoint == 0 || overlapping == 0 || fused == 0 {
+		t.Fatalf("coverage: scalar sums %d, scalar reduces %d, disjoint %d, overlapping %d, fused %d",
+			scalarSums, scalarReduces, disjoint, overlapping, fused)
+	}
+}
+
+// TestFromTableMatchesReference: converting a table laid out over an
+// unsorted scope equals the entry-by-entry reference, bit for bit, for
+// sorted and permuted variable orders.
+func TestFromTableMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 200; trial++ {
+		vars := randomScope(rng, []int{0, 1, 2, 3, 4, 5, 6})
+		card := make([]int, len(vars))
+		size := 1
+		for i := range card {
+			card[i] = 1 + rng.Intn(4)
+			size *= card[i]
+		}
+		values := make([]float64, size)
+		for i := range values {
+			values[i] = rng.Float64()
+		}
+		if got, want := FromTable(vars, card, values), ReferenceFromTable(vars, card, values); !sameBits(got, want) {
+			t.Fatalf("trial %d: FromTable over %v = %v, want %v", trial, vars, got.Values, want.Values)
+		}
 	}
 }

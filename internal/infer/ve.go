@@ -133,21 +133,20 @@ func networkFactors(n *bn.Network) ([]*factor.Factor, error) {
 	return out, nil
 }
 
-// eliminate sums variable v out of the product of all factors mentioning it.
+// eliminate sums variable v out of the product of all factors mentioning
+// it, in one fused pass that never builds that product in memory.
 func eliminate(factors []*factor.Factor, v int) []*factor.Factor {
-	prod := factor.Scalar(1)
+	var touched []*factor.Factor
 	rest := factors[:0]
-	touched := false
 	for _, f := range factors {
 		if f.Contains(v) {
-			prod = factor.Product(prod, f)
-			touched = true
+			touched = append(touched, f)
 		} else {
 			rest = append(rest, f)
 		}
 	}
-	if !touched {
+	if len(touched) == 0 {
 		return factors
 	}
-	return append(rest, prod.SumOut(v))
+	return append(rest, factor.SumProduct(touched, v))
 }
