@@ -36,10 +36,11 @@ fuzz:
 	$(GO) test ./internal/journal -fuzz=FuzzJournalDecode -fuzztime=20s
 
 # Allocation gates: the per-row hot paths (frame encode, health scoring,
-# stream ingest, compiled-plan LW sampling) must not allocate, and exact
-# inference for P(D) on kertmon's discrete model stays within its budget.
+# stream ingest, compiled-plan LW sampling, the timeout-count f, the lane
+# evaluator's step) must not allocate, and exact inference for P(D) and the
+# D-CPT on kertmon's discrete model stay within their budgets.
 alloc:
-	$(GO) test ./internal/wire ./internal/health ./internal/infer ./internal/dataset -run 'ZeroAlloc|DoesNotAllocate|AllocBudget' -count=1 -v
+	$(GO) test ./internal/wire ./internal/health ./internal/infer ./internal/dataset ./internal/core ./internal/workflow -run 'ZeroAlloc|DoesNotAllocate|AllocBudget' -count=1 -v
 
 # Differential tests: LW and Gibbs posteriors against the exact oracles.
 differential:

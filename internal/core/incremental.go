@@ -195,11 +195,11 @@ func (a *contKERTAcc) RemoveRow(row []float64) error {
 
 // discKERTAcc keeps the sufficient statistics of a discrete KERT-BN: joint
 // count tables per learned node over codec-encoded rows, plus the
-// per-service within-bin value pools the Monte-Carlo D-CPT resamples from.
-// Pool eviction removes the first matching occurrence: rows leave in FIFO
-// order, so the surviving pool contents and order equal a fresh scan of the
-// surviving rows — keeping the seeded D-CPT generation bit-identical to a
-// full rebuild.
+// per-service within-bin value pools the D-CPT draws its sample lanes from.
+// Pool eviction removes one matching occurrence, so the surviving pool
+// contents equal a fresh scan of the surviving rows. The lanes sort each
+// pool, so contents alone decide the D-CPT, which therefore stays
+// bit-identical to a full rebuild.
 type discKERTAcc struct {
 	codec *dataset.Codec
 	tabs  []*learn.TabularStats

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"kertbn/internal/bn"
 	"kertbn/internal/dataset"
@@ -77,12 +78,14 @@ type KERTConfig struct {
 	// exceed it (default 4,000,000). Large systems should use the
 	// continuous model, exactly as the paper's BNT setup did.
 	MaxCPTEntries int
-	// DetCPTSamples controls how each discrete D-CPT row is generated from
-	// f: 1 maps the parent-bin centers through f, the direct Equation-4
-	// translation; values > 1 (default 16) Monte-Carlo integrate f over
-	// parent values resampled from the *empirical within-bin training
-	// values*, capturing the within-bin spread of D that center-point
-	// quantization loses.
+	// DetCPTSamples is S, the number of samples of f behind each discrete
+	// D-CPT row. 1 maps the parent-bin centers through f, the direct
+	// Equation-4 translation. Values > 1 (default 16) integrate f over the
+	// *empirical within-bin training values*, capturing the within-bin
+	// spread of D that center-point quantization loses: each service's bin
+	// contributes S stratified quantiles of its training values, shared by
+	// every row with that bin, so each row is a Latin-hypercube sample of
+	// its parent box.
 	DetCPTSamples int
 	// LearnDCPD is an ablation knob: instead of deriving P(D|X) from the
 	// workflow function (Equation 4), learn it from data like any other
@@ -105,15 +108,22 @@ func DefaultKERTConfig(wf *workflow.Node) KERTConfig {
 	}
 }
 
+// metricTree returns the workflow tree whose ResponseTime is the
+// deterministic function f for the configured metric: the workflow itself
+// for response time, and the flat sum over its services for timeout counts.
+func (cfg *KERTConfig) metricTree() *workflow.Node {
+	switch cfg.Metric {
+	case TimeoutCountMetric:
+		return cfg.Workflow.TimeoutCountTree()
+	default:
+		return cfg.Workflow
+	}
+}
+
 // metricFunc resolves the deterministic function f for the configured
 // metric.
 func (cfg *KERTConfig) metricFunc() func([]float64) float64 {
-	switch cfg.Metric {
-	case TimeoutCountMetric:
-		return cfg.Workflow.TimeoutCount
-	default:
-		return cfg.Workflow.ResponseTime
-	}
+	return cfg.metricTree().ResponseTime
 }
 
 func (cfg *KERTConfig) fillDefaults() {
@@ -404,16 +414,14 @@ func buildDiscreteKERT(cfg KERTConfig, train *dataset.Dataset, n int, sp *obs.Sp
 }
 
 // detCPT builds P(D | X) for the discrete model — the software-generated
-// CPD of Equation 4. With DetCPTSamples = 1 each joint parent-bin
-// configuration maps its bin centers through f and the resulting D bin gets
-// mass 1−l; with more samples the row Monte-Carlo integrates f over parent
-// values resampled from the empirical training values of each bin
-// (deterministically seeded per row), spreading the deterministic mass
-// across the D bins f actually reaches. The leak l spreads uniformly over
-// all bins.
+// CPD of Equation 4. Each joint parent-bin configuration's row puts mass
+// (1−l)/S on the D bin of each of its S samples of f, and the leak l
+// spreads uniformly over all bins. With DetCPTSamples = 1 the one sample is
+// f at the bin centers; with more, the samples come from the shared
+// stratified lanes of detCPTLanes, drawn from the training values grouped
+// by bin.
 func detCPT(cfg KERTConfig, codec *dataset.Codec, dDisc *dataset.Discretizer, n int, train *dataset.Dataset) (*bn.Tabular, learn.Cost, error) {
-	// Per-service empirical values grouped by bin, for within-bin
-	// resampling. Empty bins fall back to the bin center.
+	// Per-service empirical values grouped by bin, the lanes' source.
 	var binVals [][][]float64
 	var cost learn.Cost
 	if cfg.DetCPTSamples > 1 {
@@ -442,60 +450,96 @@ func newBinPools(n, bins int) [][][]float64 {
 
 // detCPTFromPools generates the D CPT given already-grouped within-bin
 // training values — the shared core of the full (scan-the-dataset) and
-// incremental (pools maintained row by row) paths. Because each CPT row's
-// Monte-Carlo stream is seeded purely by its configuration index, two calls
-// over pools with identical contents and ordering produce bit-identical
-// tables.
+// incremental (pools maintained row by row) paths. The table depends only
+// on the pools' contents, not on their order, so two calls over pools with
+// equal contents produce bit-identical tables.
+//
+// Rows are visited in odometer order, last parent fastest, and a
+// LaneEval over S lanes evaluates f: a step that changes the bins of
+// services k..n−1 recomputes only the workflow constructs containing one of
+// them. Lane s of row c is f at (lanes[0][c₀][s], …, lanes[n−1][c_{n−1}][s]),
+// bit for bit.
 func detCPTFromPools(cfg KERTConfig, codec *dataset.Codec, dDisc *dataset.Discretizer, n int, binVals [][][]float64) (*bn.Tabular, learn.Cost, error) {
 	parentCard := make([]int, n)
 	for i := range parentCard {
 		parentCard[i] = cfg.Bins
 	}
 	tab := bn.NewTabular(cfg.Bins, parentCard)
-	var cost learn.Cost
-	x := make([]float64, n)
-	row := make([]float64, cfg.Bins)
 	samples := cfg.DetCPTSamples
-	f := cfg.metricFunc()
+	lanes := detCPTLanes(codec, n, cfg.Bins, samples, binVals)
+	ev := workflow.NewLaneEval(cfg.metricTree(), samples)
+	for i := 0; i < n; i++ {
+		ev.Set(i, lanes[i][0])
+	}
 	// assign holds row cfgIdx's parent bins. It steps like an odometer,
 	// last parent fastest: the row order ConfigAssignment decodes.
 	assign := make([]int, n)
-
+	row := make([]float64, cfg.Bins)
+	w := (1 - cfg.Leak) / float64(samples)
+	var cost learn.Cost
 	for cfgIdx := 0; cfgIdx < tab.Rows(); cfgIdx++ {
 		for k := range row {
 			row[k] = cfg.Leak / float64(cfg.Bins)
 		}
-		if samples <= 1 {
-			for i, b := range assign {
-				x[i] = codec.Discretizers[i].Center(b)
-			}
-			row[dDisc.Bin(f(x))] += 1 - cfg.Leak
-			cost.DataOps += int64(n + cfg.Bins)
-		} else {
-			rng := stats.NewRNG(0x9E3779B97F4A7C15 ^ uint64(cfgIdx))
-			w := (1 - cfg.Leak) / float64(samples)
-			for s := 0; s < samples; s++ {
-				for i, b := range assign {
-					vals := binVals[i][b]
-					if len(vals) == 0 {
-						x[i] = codec.Discretizers[i].Center(b)
-						continue
-					}
-					x[i] = vals[rng.Intn(len(vals))]
-				}
-				row[dDisc.Bin(f(x))] += w
-			}
-			cost.DataOps += int64(samples*n + cfg.Bins)
+		for _, d := range ev.Eval() {
+			row[dDisc.Bin(d)] += w
 		}
+		cost.DataOps += int64(samples*n + cfg.Bins)
 		if err := tab.SetRow(cfgIdx, row); err != nil {
 			return nil, cost, err
 		}
 		for i := n - 1; i >= 0; i-- {
-			if assign[i]++; assign[i] < cfg.Bins {
+			if assign[i]++; assign[i] == cfg.Bins {
+				assign[i] = 0
+			}
+			ev.Set(i, lanes[i][assign[i]])
+			if assign[i] != 0 {
 				break
 			}
-			assign[i] = 0
 		}
 	}
 	return tab, cost, nil
+}
+
+// detCPTLanes returns the D-CPT's shared sample lanes: lanes[i][b] holds
+// the S values service i contributes, in bin b, to every row's S samples of
+// f. With S > 1 and a pool of m values, lane s takes the sorted pool's
+// element ⌊(π(s)+½)·m/S⌋, one value from each of S equal-count strata, for
+// a permutation π drawn from an RNG seeded by (i, b) alone. Independent
+// permutations per (service, bin) pair the strata at random across
+// services, so each row is a Latin-hypercube sample of its parent box. The
+// lanes depend only on each pool's contents. An empty pool, or S = 1, fills
+// every lane with the bin center.
+func detCPTLanes(codec *dataset.Codec, n, bins, samples int, pools [][][]float64) [][][]float64 {
+	buf := make([]float64, n*bins*samples)
+	perm := make([]int, samples)
+	var sorted []float64
+	lanes := make([][][]float64, n)
+	for i := range lanes {
+		lanes[i] = make([][]float64, bins)
+		for b := range lanes[i] {
+			lane := buf[:samples:samples]
+			buf = buf[samples:]
+			lanes[i][b] = lane
+			if samples == 1 || len(pools[i][b]) == 0 {
+				c := codec.Discretizers[i].Center(b)
+				for s := range lane {
+					lane[s] = c
+				}
+				continue
+			}
+			sorted = append(sorted[:0], pools[i][b]...)
+			slices.Sort(sorted)
+			for s := range perm {
+				perm[s] = s
+			}
+			rng := stats.NewRNG(0x9E3779B97F4A7C15 ^ uint64(i)<<32 ^ uint64(b))
+			rng.Shuffle(samples, func(x, y int) { perm[x], perm[y] = perm[y], perm[x] })
+			m := len(sorted)
+			for s := range lane {
+				lane[s] = sorted[(2*perm[s]+1)*m/(2*samples)]
+			}
+		}
+	}
+	return lanes
 }

@@ -174,7 +174,8 @@ func (n *Node) collectNames(out map[int]string) {
 // ResponseTime evaluates the Cardoso-reduced deterministic function f(X)
 // given per-service elapsed times x (indexed by service index): this is the
 // f of the paper's Equation 4. For the eDiaMoND workflow it computes
-// D = X1 + X2 + max(X3+X5, X4+X6).
+// D = X1 + X2 + max(X3+X5, X4+X6). LaneEval repeats its floating-point
+// operations in the same order, so the two agree bit for bit.
 func (n *Node) ResponseTime(x []float64) float64 {
 	switch n.kind {
 	case kindTask:
@@ -196,7 +197,9 @@ func (n *Node) ResponseTime(x []float64) float64 {
 	case kindChoice:
 		s := 0.0
 		for i, c := range n.children {
-			s += n.probs[i] * c.ResponseTime(x)
+			// The conversion rounds the product before the add, which rules
+			// out a fused multiply-add on any platform.
+			s += float64(n.probs[i] * c.ResponseTime(x))
 		}
 		return s
 	case kindLoop:
@@ -221,6 +224,19 @@ func (n *Node) TimeoutCount(x []float64) float64 {
 		s += x[svc]
 	}
 	return s
+}
+
+// TimeoutCountTree returns the flat sequence Seq(Task(s)…) over the
+// workflow's services in sorted order. Its ResponseTime is TimeoutCount's
+// sum in TimeoutCount's order, without collecting the service set on every
+// call, and LaneEval can evaluate it.
+func (n *Node) TimeoutCountTree() *Node {
+	svcs := n.Services()
+	tasks := make([]*Node, len(svcs))
+	for i, s := range svcs {
+		tasks[i] = Task(s, "")
+	}
+	return Seq(tasks...)
 }
 
 // Edge is a directed immediate-upstream relation between services.
