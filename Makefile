@@ -37,10 +37,11 @@ fuzz:
 
 # Allocation gates: the per-row hot paths (frame encode, health scoring,
 # stream ingest, compiled-plan LW sampling, the timeout-count f, the lane
-# evaluator's step) must not allocate, and exact inference for P(D) and the
-# D-CPT on kertmon's discrete model stay within their budgets.
+# evaluator's step) must not allocate, and exact inference for P(D), the
+# D-CPT on kertmon's discrete model, an agent batch and a health deploy's
+# sample storage stay within their budgets.
 alloc:
-	$(GO) test ./internal/wire ./internal/health ./internal/infer ./internal/dataset ./internal/core ./internal/workflow -run 'ZeroAlloc|DoesNotAllocate|AllocBudget' -count=1 -v
+	$(GO) test ./internal/wire ./internal/health ./internal/infer ./internal/dataset ./internal/core ./internal/workflow ./internal/monitor -run 'ZeroAlloc|DoesNotAllocate|AllocBudget' -count=1 -v
 
 # Differential tests: LW and Gibbs posteriors against the exact oracles.
 differential:

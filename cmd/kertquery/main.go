@@ -387,10 +387,18 @@ func answer(model *core.Model, train *dataset.Dataset, query string, service int
 	}
 }
 
+// printDist prints the posterior's core.Summary, the one the gateway
+// serves: the quantile ladder, then one line per histogram bin.
 func printDist(p *core.Posterior) {
-	fmt.Println("  value_s     prob")
-	for i, v := range p.Support {
-		fmt.Printf("  %8.4f  %7.4f\n", v, p.Probs[i])
+	s := p.Summary()
+	fmt.Print("  quantiles_s")
+	for i, pc := range core.SummaryPercents {
+		fmt.Printf("  p%d %.4f", pc, s.Quantiles[i])
+	}
+	fmt.Println()
+	fmt.Println("  bin_lo_s  bin_hi_s     prob")
+	for i, pr := range s.Probs {
+		fmt.Printf("  %8.4f  %8.4f  %7.4f\n", s.Edges[i], s.Edges[i+1], pr)
 	}
 }
 

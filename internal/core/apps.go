@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"kertbn/internal/infer"
 	"kertbn/internal/stats"
 )
 
@@ -31,7 +32,7 @@ func DComp(m *Model, target int, observed map[int]float64, opts DCompOptions) (*
 	if len(observed) == 0 {
 		return nil, fmt.Errorf("core: dComp needs at least one observed node")
 	}
-	return posteriorForNode(m, target, observed, opts.NSamples, opts.Workers, opts.RNG)
+	return posteriorForNode(m, target, observed, opts.NSamples, opts.Workers, opts.RNG, nil)
 }
 
 // PAccelOptions tunes the pAccel application.
@@ -52,12 +53,23 @@ func PAccel(m *Model, service int, predictedMean float64, opts PAccelOptions) (*
 	if service == m.DNode {
 		return nil, fmt.Errorf("core: pAccel conditions on a service node, not D")
 	}
-	return posteriorForNode(m, m.DNode, map[int]float64{service: predictedMean}, opts.NSamples, opts.Workers, opts.RNG)
+	return posteriorForNode(m, m.DNode, map[int]float64{service: predictedMean}, opts.NSamples, opts.Workers, opts.RNG, nil)
 }
 
 // ResponseTimePosterior returns p(D | evidence) for arbitrary evidence — a
 // generalization both applications share and autonomic callers can use
 // directly.
 func ResponseTimePosterior(m *Model, evidence map[int]float64, nSamples int, rng *stats.RNG) (*Posterior, error) {
-	return posteriorForNode(m, m.DNode, evidence, nSamples, 1, rng)
+	return posteriorForNode(m, m.DNode, evidence, nSamples, 1, rng, nil)
+}
+
+// ResponseTimePosteriorInto is ResponseTimePosterior drawing its
+// Monte-Carlo samples into buf's storage, which grows once and is then
+// reused: a caller that evaluates one model generation after another (the
+// health monitor's deploy) allocates no sample slices after the first. The
+// returned Posterior aliases buf and is valid until buf's next use; exact
+// inference paths ignore buf. The answer equals ResponseTimePosterior's
+// bit for bit.
+func ResponseTimePosteriorInto(buf *infer.WeightedSamples, m *Model, evidence map[int]float64, nSamples int, rng *stats.RNG) (*Posterior, error) {
+	return posteriorForNode(m, m.DNode, evidence, nSamples, 1, rng, buf)
 }

@@ -62,7 +62,7 @@ func PosteriorBatch(ctx context.Context, m *Model, queries []Query, opts BatchOp
 	}
 	out := make([]*Posterior, len(queries))
 	err := pool.ForEach(ctx, "core.batch", len(queries), opts.Workers, func(i int) error {
-		post, err := posteriorForNode(m, queries[i].Target, queries[i].Evidence, opts.NSamples, 1, root.Split(uint64(i)))
+		post, err := posteriorForNode(m, queries[i].Target, queries[i].Evidence, opts.NSamples, 1, root.Split(uint64(i)), nil)
 		if err != nil {
 			return fmt.Errorf("core: batch row %d: %w", i, err)
 		}

@@ -34,7 +34,7 @@ func TestBatchOneRowMatchesSingleQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	single, err := posteriorForNode(m, 3, ev, samples, 1, stats.NewRNG(99).Split(0))
+	single, err := posteriorForNode(m, 3, ev, samples, 1, stats.NewRNG(99).Split(0), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

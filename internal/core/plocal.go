@@ -46,11 +46,11 @@ func PLocal(m *Model, observedD float64, opts PLocalOptions) ([]Suspicion, error
 	evidence := map[int]float64{m.DNode: observedD}
 	out := make([]Suspicion, 0, m.NumServices)
 	for svc := 0; svc < m.NumServices; svc++ {
-		prior, err := posteriorForNode(m, svc, nil, opts.NSamples, opts.Workers, opts.RNG)
+		prior, err := posteriorForNode(m, svc, nil, opts.NSamples, opts.Workers, opts.RNG, nil)
 		if err != nil {
 			return nil, fmt.Errorf("core: prior for service %d: %w", svc, err)
 		}
-		post, err := posteriorForNode(m, svc, evidence, opts.NSamples, opts.Workers, opts.RNG)
+		post, err := posteriorForNode(m, svc, evidence, opts.NSamples, opts.Workers, opts.RNG, nil)
 		if err != nil {
 			return nil, fmt.Errorf("core: posterior for service %d: %w", svc, err)
 		}

@@ -1,10 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 
 	"kertbn/internal/bn"
@@ -71,8 +72,17 @@ func newGaussianPosterior(mu, sigma float64) *Posterior {
 	}
 }
 
-// NewPosterior validates and normalizes a point-mass distribution.
+// NewPosterior validates and normalizes a point-mass distribution. The
+// result holds copies of support and probs.
 func NewPosterior(support, probs []float64) (*Posterior, error) {
+	return adoptPosterior(append([]float64(nil), support...), append([]float64(nil), probs...))
+}
+
+// adoptPosterior is NewPosterior on slices the caller hands over: probs is
+// validated and normalized in place with the same division, and the result
+// keeps both slices. The Monte-Carlo path builds on the sampler's fresh
+// slices with it, so a 20,000-sample answer is not copied a second time.
+func adoptPosterior(support, probs []float64) (*Posterior, error) {
 	if len(support) != len(probs) || len(support) == 0 {
 		return nil, fmt.Errorf("core: posterior needs equal-length non-empty support/probs")
 	}
@@ -86,14 +96,10 @@ func NewPosterior(support, probs []float64) (*Posterior, error) {
 	if total <= 0 {
 		return nil, fmt.Errorf("core: posterior has no mass")
 	}
-	post := &Posterior{
-		Support: append([]float64(nil), support...),
-		Probs:   make([]float64, len(probs)),
-	}
 	for i, p := range probs {
-		post.Probs[i] = p / total
+		probs[i] = p / total
 	}
-	return post, nil
+	return &Posterior{Support: support, Probs: probs}, nil
 }
 
 // Mean returns the posterior mean.
@@ -155,36 +161,172 @@ func (p *Posterior) Exceedance(h float64) float64 {
 	return s
 }
 
-// Quantile returns the q-quantile of the posterior.
+// Quantile returns the q-quantile of the posterior: the smallest support
+// point at which the cumulative mass, summed in value order, reaches q (the
+// largest point if it never does). Exact Gaussians bisect the closed-form
+// CDF.
 func (p *Posterior) Quantile(q float64) float64 {
 	if p.Gaussian != nil {
-		// Bisection on the Gaussian CDF.
-		lo := p.Gaussian.Mu - 10*p.Gaussian.Sigma
-		hi := p.Gaussian.Mu + 10*p.Gaussian.Sigma
-		for i := 0; i < 80; i++ {
-			mid := 0.5 * (lo + hi)
-			if stats.NormalCDF(mid, p.Gaussian.Mu, p.Gaussian.Sigma) < q {
-				lo = mid
-			} else {
-				hi = mid
-			}
-		}
-		return 0.5 * (lo + hi)
+		return p.Gaussian.quantile(q)
 	}
-	type pair struct{ v, w float64 }
-	ps := make([]pair, len(p.Support))
-	for i := range ps {
-		ps[i] = pair{p.Support[i], p.Probs[i]}
-	}
-	sort.Slice(ps, func(a, b int) bool { return ps[a].v < ps[b].v })
-	acc := 0.0
-	for _, pr := range ps {
-		acc += pr.w
-		if acc >= q {
-			return pr.v
+	var out [1]float64
+	quantileWalk(p.sortedPoints(), []float64{q}, out[:])
+	return out[0]
+}
+
+// quantile bisects the Gaussian CDF for its q-quantile.
+func (g *GaussianParams) quantile(q float64) float64 {
+	lo := g.Mu - 10*g.Sigma
+	hi := g.Mu + 10*g.Sigma
+	for i := 0; i < 80; i++ {
+		mid := 0.5 * (lo + hi)
+		if stats.NormalCDF(mid, g.Mu, g.Sigma) < q {
+			lo = mid
+		} else {
+			hi = mid
 		}
 	}
-	return ps[len(ps)-1].v
+	return 0.5 * (lo + hi)
+}
+
+// massPoint is one (value, mass) pair of a posterior.
+type massPoint struct{ v, w float64 }
+
+// sortedPoints copies the posterior's pairs and sorts them by value.
+func (p *Posterior) sortedPoints() []massPoint {
+	ps := make([]massPoint, len(p.Support))
+	for i, v := range p.Support {
+		ps[i] = massPoint{v, p.Probs[i]}
+	}
+	slices.SortFunc(ps, func(a, b massPoint) int { return cmp.Compare(a.v, b.v) })
+	return ps
+}
+
+// quantileWalk sets out[k] to the qs[k]-quantile of the value-sorted points:
+// the first point at which the running mass reaches qs[k] (acc >= q), or
+// the last point if it never does. qs must be ascending. The running mass
+// is summed once for all of them, in the order a single-quantile pass sums
+// it, so each entry equals that pass bit for bit.
+func quantileWalk(ps []massPoint, qs, out []float64) {
+	j, acc := 0, ps[0].w
+	for k, q := range qs {
+		for !(acc >= q) && j < len(ps)-1 {
+			j++
+			acc += ps[j].w
+		}
+		out[k] = ps[j].v
+	}
+}
+
+// SummaryPercents is the quantile ladder of a Summary, in percent. Its
+// entries are labelled "p1" … "p99" wherever a summary is shown.
+var SummaryPercents = [...]int{1, 5, 10, 25, 50, 75, 90, 95, 99}
+
+// summaryLevels is SummaryPercents as probabilities (float64(pc)/100 is
+// the same float64 as the literal 0.95, so ladder entries equal
+// Quantile(0.95) and friends).
+var summaryLevels = func() (l [len(SummaryPercents)]float64) {
+	for i, pc := range SummaryPercents {
+		l[i] = float64(pc) / 100
+	}
+	return l
+}()
+
+// SummaryBins is the histogram resolution of a Monte-Carlo or exact
+// Gaussian Summary. Discrete posteriors keep their own bins.
+const SummaryBins = 64
+
+// Summary is the fixed-size description a posterior is served as: its
+// moments, the SummaryPercents quantile ladder, and a histogram. Its size
+// does not grow with the number of Monte-Carlo samples behind it.
+type Summary struct {
+	Mean, Std float64
+	// Quantiles[i] is Quantile(SummaryPercents[i]/100).
+	Quantiles [len(SummaryPercents)]float64
+	// Probs[i] is the mass in [Edges[i], Edges[i+1]); the last bin also
+	// holds Edges[len(Probs)]. len(Edges) == len(Probs)+1, ascending, and
+	// the masses sum to 1.
+	Edges, Probs []float64
+}
+
+// Summary computes the posterior's Summary with one sort of its points.
+// Monte-Carlo posteriors get SummaryBins equal-width bins over [min, max]
+// of the support (one bin when every point has the same value); discrete
+// posteriors return their own Edges bins; exact Gaussians fill SummaryBins
+// bins over µ±4σ from the closed-form CDF, the outer two also holding the
+// tails beyond.
+func (p *Posterior) Summary() Summary {
+	s := Summary{Mean: p.Mean(), Std: p.Std()}
+	if g := p.Gaussian; g != nil {
+		for i, q := range summaryLevels {
+			s.Quantiles[i] = g.quantile(q)
+		}
+		s.Edges, s.Probs = g.histogram()
+		return s
+	}
+	ps := p.sortedPoints()
+	quantileWalk(ps, summaryLevels[:], s.Quantiles[:])
+	if p.Edges != nil {
+		s.Edges = make([]float64, len(p.Edges)+1)
+		s.Edges[0] = p.Edges[0][0]
+		for i, e := range p.Edges {
+			s.Edges[i+1] = e[1]
+		}
+		s.Probs = append([]float64(nil), p.Probs...)
+		return s
+	}
+	s.Edges, s.Probs = pointHistogram(ps)
+	return s
+}
+
+// pointHistogram bins value-sorted points into SummaryBins equal-width
+// bins over [min, max], walking bins and points together so each point
+// lands in the bin whose stored edges hold it.
+func pointHistogram(ps []massPoint) (edges, probs []float64) {
+	lo, hi := ps[0].v, ps[len(ps)-1].v
+	if !(hi > lo) {
+		total := 0.0
+		for _, pt := range ps {
+			total += pt.w
+		}
+		return []float64{lo, hi}, []float64{total}
+	}
+	edges = make([]float64, SummaryBins+1)
+	width := (hi - lo) / SummaryBins
+	for i := range edges {
+		edges[i] = lo + float64(i)*width
+	}
+	edges[SummaryBins] = hi
+	probs = make([]float64, SummaryBins)
+	b := 0
+	for _, pt := range ps {
+		for b < SummaryBins-1 && pt.v >= edges[b+1] {
+			b++
+		}
+		probs[b] += pt.w
+	}
+	return edges, probs
+}
+
+// histogram fills SummaryBins equal-width bins over µ±4σ with CDF
+// differences; the first bin's mass starts at −∞ and the last one's ends
+// at +∞, so the masses sum to 1.
+func (g *GaussianParams) histogram() (edges, probs []float64) {
+	edges = make([]float64, SummaryBins+1)
+	for i := range edges {
+		edges[i] = g.Mu + (-4+8*float64(i)/SummaryBins)*g.Sigma
+	}
+	probs = make([]float64, SummaryBins)
+	prev := 0.0
+	for i := range probs {
+		next := 1.0
+		if i < SummaryBins-1 {
+			next = stats.NormalCDF(edges[i+1], g.Mu, g.Sigma)
+		}
+		probs[i] = next - prev
+		prev = next
+	}
+	return edges, probs
 }
 
 // posteriorForNode runs the model-appropriate inference path for one target
@@ -194,7 +336,10 @@ func (p *Posterior) Quantile(q float64) float64 {
 // infer.LikelihoodWeightingParallel, whose output is deterministic for a
 // fixed rng at any worker count but uses a different stream layout than the
 // serial sampler. Exact paths (VE, joint-Gaussian) ignore workers.
-func posteriorForNode(m *Model, target int, evidence map[int]float64, nSamples, workers int, rng *stats.RNG) (*Posterior, error) {
+//
+// A non-nil buf gives the serial sampler its sample storage: the returned
+// Posterior then aliases buf and is valid until buf's next use.
+func posteriorForNode(m *Model, target int, evidence map[int]float64, nSamples, workers int, rng *stats.RNG, buf *infer.WeightedSamples) (*Posterior, error) {
 	var sp *obs.Span
 	if tc, first := m.ClaimFirstQueryTrace(); first {
 		// The first query served by a freshly swapped-in generation joins
@@ -262,16 +407,19 @@ func posteriorForNode(m *Model, target int, evidence map[int]float64, nSamples, 
 		if err != nil {
 			return nil, err
 		}
-		var ws *infer.WeightedSamples
+		ws := buf
 		if workers > 1 {
 			ws, err = plan.Parallel(context.Background(), infer.ContinuousEvidence(evidence), nSamples, workers, rng)
 		} else {
-			ws, err = plan.Serial(infer.ContinuousEvidence(evidence), nSamples, rng)
+			if ws == nil {
+				ws = &infer.WeightedSamples{}
+			}
+			err = plan.SerialInto(ws, infer.ContinuousEvidence(evidence), nSamples, rng)
 		}
 		if err != nil {
 			return nil, err
 		}
-		return NewPosterior(ws.Values, ws.Weights)
+		return adoptPosterior(ws.Values, ws.Weights)
 	default:
 		return nil, fmt.Errorf("core: unknown model type %v", m.Type)
 	}
@@ -280,7 +428,7 @@ func posteriorForNode(m *Model, target int, evidence map[int]float64, nSamples, 
 // PriorMarginal returns the no-evidence marginal of a node — the baseline
 // dComp compares its updated posterior against.
 func PriorMarginal(m *Model, target int, nSamples int, rng *stats.RNG) (*Posterior, error) {
-	return posteriorForNode(m, target, nil, nSamples, 1, rng)
+	return posteriorForNode(m, target, nil, nSamples, 1, rng, nil)
 }
 
 // exactGaussianPosterior attempts the closed-form path: if every CPD is

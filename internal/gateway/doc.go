@@ -22,6 +22,10 @@
 //     when saturated) in front of per-tenant token-bucket rate limits
 //     (429 + Retry-After), keyed by the X-Kertbn-Tenant header.
 //
+// A distribution is served as its fixed-size core.Summary (moments,
+// quantile ladder, histogram), never as raw samples, so a body is a few KB
+// however many Monte-Carlo samples stand behind it.
+//
 // Every route is instrumented with gateway.* per-route metrics and spans
 // through internal/obs, and generation swaps are journaled. The HTTP
 // contract — routes, schemas, error semantics, cache headers — is

@@ -92,7 +92,7 @@ func TestGatewayPosteriorCacheFlow(t *testing.T) {
 	if resp.Target != names[m.DNode] || resp.TargetID != m.DNode {
 		t.Errorf("resolved target %q/%d, want %q/%d", resp.Target, resp.TargetID, names[m.DNode], m.DNode)
 	}
-	if len(resp.Posterior.Support) == 0 || resp.Posterior.Mean <= 0 {
+	if len(resp.Posterior.Hist.Probs) == 0 || resp.Posterior.Mean <= 0 {
 		t.Errorf("degenerate posterior: %+v", resp.Posterior)
 	}
 
@@ -377,7 +377,7 @@ func TestGatewayDCompPAccelThresholdRoutes(t *testing.T) {
 		t.Fatalf("dcomp: %d %s", w.Code, w.Body.String())
 	}
 	var dc dcompResponse
-	if err := json.Unmarshal(w.Body.Bytes(), &dc); err != nil || len(dc.Posterior.Support) == 0 || len(dc.Prior.Support) == 0 {
+	if err := json.Unmarshal(w.Body.Bytes(), &dc); err != nil || len(dc.Posterior.Hist.Probs) == 0 || len(dc.Prior.Hist.Probs) == 0 {
 		t.Errorf("dcomp response malformed: %v %s", err, w.Body.String())
 	}
 

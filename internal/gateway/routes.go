@@ -235,32 +235,39 @@ func (s *Server) sampleCount(w http.ResponseWriter, n int) (int, bool) {
 	return n, true
 }
 
-// distJSON is the wire form of a core.Posterior.
+// distJSON is the wire form of a core.Posterior: its core.Summary. The
+// body stays a few KB however many Monte-Carlo samples stand behind it.
 type distJSON struct {
-	Mean     float64   `json:"mean"`
-	Std      float64   `json:"std"`
-	P50      float64   `json:"p50"`
-	P95      float64   `json:"p95"`
-	P99      float64   `json:"p99"`
-	Support  []float64 `json:"support"`
-	Probs    []float64 `json:"probs"`
-	Gaussian *struct {
-		Mu    float64 `json:"mu"`
-		Sigma float64 `json:"sigma"`
-	} `json:"gaussian,omitempty"`
+	Mean float64 `json:"mean"`
+	Std  float64 `json:"std"`
+	// Quantiles maps "p1" … "p99" (core.SummaryPercents) to the ladder.
+	Quantiles map[string]float64 `json:"quantiles"`
+	Hist      histJSON           `json:"hist"`
+	Gaussian  *gaussianJSON      `json:"gaussian,omitempty"`
+}
+
+type histJSON struct {
+	Edges []float64 `json:"edges"`
+	Probs []float64 `json:"probs"`
+}
+
+type gaussianJSON struct {
+	Mu    float64 `json:"mu"`
+	Sigma float64 `json:"sigma"`
 }
 
 func toDistJSON(p *core.Posterior) distJSON {
+	sum := p.Summary()
 	d := distJSON{
-		Mean: p.Mean(), Std: p.Std(),
-		P50: p.Quantile(0.50), P95: p.Quantile(0.95), P99: p.Quantile(0.99),
-		Support: p.Support, Probs: p.Probs,
+		Mean: sum.Mean, Std: sum.Std,
+		Quantiles: make(map[string]float64, len(sum.Quantiles)),
+		Hist:      histJSON{Edges: sum.Edges, Probs: sum.Probs},
+	}
+	for i, pc := range core.SummaryPercents {
+		d.Quantiles["p"+strconv.Itoa(pc)] = sum.Quantiles[i]
 	}
 	if p.Gaussian != nil {
-		d.Gaussian = &struct {
-			Mu    float64 `json:"mu"`
-			Sigma float64 `json:"sigma"`
-		}{p.Gaussian.Mu, p.Gaussian.Sigma}
+		d.Gaussian = &gaussianJSON{p.Gaussian.Mu, p.Gaussian.Sigma}
 	}
 	return d
 }

@@ -11,6 +11,7 @@ import (
 	"kertbn/internal/bn"
 	"kertbn/internal/core"
 	"kertbn/internal/dataset"
+	"kertbn/internal/infer"
 	"kertbn/internal/obs"
 	"kertbn/internal/stats"
 )
@@ -186,6 +187,10 @@ type Monitor struct {
 
 	// scratch buffers for Observe
 	perNode, pit []float64
+	// samples is SetModel's Monte-Carlo sample storage, reused by every
+	// deploy so a generation does not allocate ExceedanceSamples-long
+	// slices (guarded by mu, like the rest).
+	samples infer.WeightedSamples
 }
 
 // NewMonitor builds a Monitor; call SetModel before (or let the scheduler
@@ -293,7 +298,7 @@ func (m *Monitor) SetModel(model *core.Model) error {
 
 	// One posterior evaluation per deployment: P_bn(D > h) under the new
 	// model, on the deterministic Split(generation) stream.
-	post, err := core.ResponseTimePosterior(model, nil, m.cfg.ExceedanceSamples, stats.NewRNG(m.cfg.Seed).Split(uint64(m.gen)))
+	post, err := core.ResponseTimePosteriorInto(&m.samples, model, nil, m.cfg.ExceedanceSamples, stats.NewRNG(m.cfg.Seed).Split(uint64(m.gen)))
 	if err != nil {
 		return fmt.Errorf("health: posterior for generation %d: %w", m.gen, err)
 	}

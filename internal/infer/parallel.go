@@ -270,28 +270,46 @@ func (p *QueryPlan) run(rng *stats.RNG, nSamples int, evVal []float64, values, l
 // the two are bit-for-bit identical; only compilation is hoisted out. A nil
 // rng defaults to seed 1.
 func (p *QueryPlan) Serial(ev ContinuousEvidence, nSamples int, rng *stats.RNG) (*WeightedSamples, error) {
+	ws := &WeightedSamples{}
+	if err := p.SerialInto(ws, ev, nSamples, rng); err != nil {
+		return nil, err
+	}
+	return ws, nil
+}
+
+// SerialInto is Serial writing into dst: dst.Values and dst.Weights are
+// truncated and the run appends to them, growing them only when their
+// capacity is below nSamples. A caller that keeps dst across runs
+// therefore allocates no sample slices once they have grown. On error
+// dst's contents are unspecified.
+func (p *QueryPlan) SerialInto(dst *WeightedSamples, ev ContinuousEvidence, nSamples int, rng *stats.RNG) error {
 	start := time.Now()
 	defer func() { lwSeconds.Observe(time.Since(start).Seconds()) }()
 	lwQueries.Inc()
 	lwSamples.Observe(float64(nSamples))
 	if nSamples <= 0 {
-		return nil, fmt.Errorf("infer: nSamples must be positive, got %d", nSamples)
+		return fmt.Errorf("infer: nSamples must be positive, got %d", nSamples)
 	}
 	evVal, err := p.evValues(ev)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if rng == nil {
 		rng = stats.NewRNG(1)
 	}
-	var sc runScratch
-	values, logws := p.run(rng, nSamples, evVal,
-		make([]float64, 0, nSamples), make([]float64, 0, nSamples), &sc)
-	if len(values) == 0 {
-		return nil, fmt.Errorf("infer: all %d samples had zero evidence likelihood", nSamples)
+	if cap(dst.Values) < nSamples {
+		dst.Values = make([]float64, 0, nSamples)
 	}
-	normalizeLogWeights(logws)
-	return &WeightedSamples{Values: values, Weights: logws}, nil
+	if cap(dst.Weights) < nSamples {
+		dst.Weights = make([]float64, 0, nSamples)
+	}
+	var sc runScratch
+	dst.Values, dst.Weights = p.run(rng, nSamples, evVal, dst.Values[:0], dst.Weights[:0], &sc)
+	if len(dst.Values) == 0 {
+		return fmt.Errorf("infer: all %d samples had zero evidence likelihood", nSamples)
+	}
+	normalizeLogWeights(dst.Weights)
+	return nil
 }
 
 // Parallel is the sharded run: nSamples are cut into fixed-size shards,

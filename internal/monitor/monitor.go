@@ -111,8 +111,13 @@ func (a *Agent) NewPoint(column int) *Point {
 func (a *Agent) add(m Measurement) {
 	a.mu.Lock()
 	if len(a.batch) == 0 {
-		// A new batch opens: draw its sampling decision now so the flush
-		// span can be backdated to this moment (queue wait included).
+		// A new batch opens at its full size: it is handed to the sender
+		// whole, so it cannot be reused, but it need not grow either.
+		if cap(a.batch) < a.BatchSize {
+			a.batch = make([]Measurement, 0, a.BatchSize)
+		}
+		// Draw its sampling decision now so the flush span can be
+		// backdated to this moment (queue wait included).
 		a.batchCtx = a.tracer.Sample()
 		if a.batchCtx.Sampled() {
 			a.batchStart = time.Now()

@@ -2,7 +2,8 @@
 # End-to-end check of the inference gateway (`make serve-e2e`): build the
 # binaries, generate an eDiaMoND training set, start `kertquery -serve`,
 # drive one query twice over HTTP verifying the miss -> hit cache
-# transition, and confirm the gateway.* serving counters show up in
+# transition and that the answer is a summary of at most 4 KB with no
+# sample arrays, and confirm the gateway.* serving counters show up in
 # /metrics. Exits non-zero on any failed expectation.
 set -euo pipefail
 
@@ -49,6 +50,17 @@ grep -qi '^X-Kertbn-Cache: miss' "$tmp/h1" || {
   echo "serve-e2e: first query was not a cache miss:" >&2; cat "$tmp/h1" >&2; exit 1; }
 grep -q '"response_time"' "$tmp/b1" || {
   echo "serve-e2e: paccel response missing response_time:" >&2; cat "$tmp/b1" >&2; exit 1; }
+# The distribution travels as its summary (ladder + histogram), never as
+# raw samples.
+size=$(wc -c < "$tmp/b1")
+[ "$size" -le 4096 ] || {
+  echo "serve-e2e: paccel body is $size B, want <= 4096" >&2; exit 1; }
+grep -q '"quantiles"' "$tmp/b1" || {
+  echo "serve-e2e: paccel response missing quantiles:" >&2; cat "$tmp/b1" >&2; exit 1; }
+if grep -q '"support"' "$tmp/b1"; then
+  echo "serve-e2e: paccel response still carries a support array" >&2; exit 1
+fi
+echo "serve-e2e: paccel body is a $size B summary"
 
 # Second identical query: a cache hit with a byte-identical body.
 curl -sf -D "$tmp/h2" -o "$tmp/b2" -X POST "$base/v1/query/paccel" \
