@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race fuzz differential alloc bench bench-parallel bench-incremental bench-drift bench-trace bench-serve bench-wire bench-outage bench-fleet serve-e2e journal-e2e fleet-e2e equivalence fmt
+.PHONY: all build vet test race fuzz differential alloc deadcode bench bench-parallel bench-incremental bench-drift bench-trace bench-serve bench-wire bench-outage bench-fleet serve-e2e journal-e2e fleet-e2e equivalence fmt
 
 all: vet build test
 
@@ -23,7 +23,6 @@ race:
 # match from-scratch builds (bit-identical discrete, <= 1e-9 continuous).
 equivalence:
 	$(GO) test ./internal/core -run 'Incremental.*Equivalence' -count=1 -v
-	$(GO) test ./internal/decentral -run 'IncrementalLearner.*Equivalence' -count=1 -v
 	$(GO) test ./internal/learn -run 'Stats.*Equivalence' -count=1 -v
 
 # Fuzz the framed wire codec: Decode must never panic on truncated or
@@ -43,9 +42,16 @@ fuzz:
 alloc:
 	$(GO) test ./internal/wire ./internal/health ./internal/infer ./internal/dataset ./internal/core ./internal/workflow ./internal/monitor -run 'ZeroAlloc|DoesNotAllocate|AllocBudget' -count=1 -v
 
-# Differential tests: LW and Gibbs posteriors against the exact oracles.
+# Differential tests: likelihood-weighting posteriors against the exact
+# Gaussian oracle.
 differential:
 	$(GO) test ./internal/infer -run Differential -count=1 -v
+
+# Unlinked code: build every binary, list its symbols, and fail on any
+# production function that none of them links unless it is on
+# scripts/deadcode/allowlist.txt (or on a stale allowlist entry).
+deadcode:
+	$(GO) run ./scripts/deadcode
 
 # Regenerate the committed instrumented-benchmark baseline (quick sweeps).
 bench:

@@ -12,7 +12,6 @@ import (
 	"context"
 	"testing"
 
-	"kertbn/internal/bn"
 	"kertbn/internal/core"
 	"kertbn/internal/dataset"
 	"kertbn/internal/decentral"
@@ -294,39 +293,6 @@ func BenchmarkExperiments_Fig5Quick(b *testing.B) {
 	}
 }
 
-// Ablation: one-query VE vs compile-once junction tree when *all* marginals
-// are needed (the future-work "cheap probability assessment").
-func BenchmarkAblation_AllMarginals_VE(b *testing.B) {
-	m, _ := edModel(b)
-	ev := infer.DiscreteEvidence{0: 1}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for v := 0; v < m.Net.N(); v++ {
-			if v == 0 {
-				continue
-			}
-			if _, err := infer.Posterior(m.Net, v, ev); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
-func BenchmarkAblation_AllMarginals_JunctionTree(b *testing.B) {
-	m, _ := edModel(b)
-	jt, err := infer.CompileJunctionTree(m.Net)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ev := infer.DiscreteEvidence{0: 1}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := jt.AllMarginals(ev); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // Ablation: exact Gaussian conditioning vs likelihood weighting on a
 // linear (sequence-only) workflow.
 func linearModel(b *testing.B, leak float64) (*core.Model, *dataset.Dataset) {
@@ -448,59 +414,3 @@ func benchPosteriorBatch(b *testing.B, workers int) {
 
 func BenchmarkParallel_PosteriorBatch16_1worker(b *testing.B)  { benchPosteriorBatch(b, 1) }
 func BenchmarkParallel_PosteriorBatch16_4workers(b *testing.B) { benchPosteriorBatch(b, 4) }
-
-// EM cost per iteration on a 5-bin eDiaMoND discrete model with 20%
-// missing cells (exact inference inside the E-step dominates; larger
-// arities grow as bins^n through the D factor).
-func BenchmarkEM_Iteration(b *testing.B) {
-	sys := simsvc.EDiaMoNDSystem()
-	rng := stats.NewRNG(33)
-	train, err := sys.GenerateDataset(300, rng)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := core.DefaultKERTConfig(sys.Workflow)
-	cfg.Type = core.DiscreteModel
-	cfg.Bins = 5
-	cfg.Leak = 0.02
-	m, err := core.BuildKERT(cfg, train)
-	if err != nil {
-		b.Fatal(err)
-	}
-	enc, err := m.Codec.Encode(train.Head(50))
-	if err != nil {
-		b.Fatal(err)
-	}
-	rows := enc.Rows
-	for _, row := range rows {
-		for j := range row {
-			if rng.Bernoulli(0.2) {
-				row[j] = learn.Missing
-			}
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		net := cloneDiscrete(b, m)
-		if _, err := learn.EM(net, rows, learn.EMOptions{MaxIterations: 1, Tolerance: 1e-12, DirichletAlpha: 1}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// cloneDiscrete copies a discrete network with fresh uniform CPTs.
-func cloneDiscrete(b *testing.B, m *core.Model) *bn.Network {
-	b.Helper()
-	net := m.Net.CloneStructure()
-	for v := 0; v < net.N(); v++ {
-		ps := net.Parents(v)
-		cards := make([]int, len(ps))
-		for i, p := range ps {
-			cards[i] = net.Node(p).Card
-		}
-		if err := net.SetCPD(v, bn.NewTabular(net.Node(v).Card, cards)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	return net
-}

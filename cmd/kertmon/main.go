@@ -22,9 +22,9 @@
 //
 //	kertmon -requests 600 -fault-drop 0.2 -fault-seed 7
 //
-// Reconstructions are incremental by default: sufficient statistics track
-// the sliding window as rows arrive and each rebuild refits from them
-// (flat cost in window size); -full-rebuild restores the re-scan path.
+// Reconstructions are incremental: sufficient statistics track the
+// sliding window as rows arrive and each rebuild refits from them (flat
+// cost in window size).
 //
 // -health attaches the streaming model-health monitor: every assembled row
 // is scored against the live model (per-node log-likelihoods, PIT
@@ -71,7 +71,7 @@
 //
 //	kertmon [-requests 600] [-alpha 100] [-k 3] [-rate 1.5] [-seed 1]
 //	        [-metrics-addr 127.0.0.1:8080] [-metrics-json out.json]
-//	        [-decentral=true] [-full-rebuild] [-linger 0s]
+//	        [-decentral=true] [-linger 0s]
 //	        [-health] [-rebuild-on-drift]
 //	        [-trace-every N] [-trace-seed N] [-trace-out traces.json]
 //	        [-fault-drop P -fault-seed N ...] [-journal-dir DIR]
@@ -117,7 +117,6 @@ func main() {
 		serveAddr   = flag.String("serve-addr", "", "serve the inference gateway (JSON query API, see API.md) on this address; each reconstruction deploys the new model generation and invalidates the gateway's result cache")
 		metricsJSON = flag.String("metrics-json", "", "write the final metrics snapshot to this file")
 		useDecen    = flag.Bool("decentral", true, "re-learn service CPDs decentrally on each rebuild (Fig. 5 live)")
-		fullBuild   = flag.Bool("full-rebuild", false, "re-scan the whole window on every reconstruction instead of the default incremental sufficient-statistics refit")
 		workers     = flag.Int("workers", 0, "bound concurrent decentralized learners per rebuild (0 = one per CPD, the paper's all-agents-at-once scheme)")
 		retries     = flag.Int("fault-retries", 2, "chaos: per-column ship retry budget during decentralized relearn")
 		linger      = flag.Duration("linger", 0, "keep the metrics endpoint up this long after the run")
@@ -173,14 +172,9 @@ func main() {
 	cols := core.ColumnNames(workflow.EDiaMoNDServiceNames, nil)
 
 	// The reconstruction scheduler: discrete KERT-BN rebuilt every α points
-	// from the sliding window. By default rebuilds are incremental —
-	// per-family sufficient statistics track the window as rows arrive and
-	// each reconstruction refits from them; -full-rebuild restores the
-	// re-scan-everything path.
-	kcfg := core.DefaultKERTConfig(wf)
-	kcfg.Type = core.DiscreteModel
-	kcfg.Bins = 6
-	kcfg.Leak = 0.02
+	// from the sliding window. Rebuilds are incremental — per-family
+	// sufficient statistics track the window as rows arrive and each
+	// reconstruction refits from them.
 	relearn := func(m *core.Model, w *dataset.Dataset, tc obs.TraceContext) error {
 		if !*useDecen {
 			return nil
@@ -201,34 +195,12 @@ func main() {
 		Alpha: *alpha,
 		K:     *k,
 	}
-	var (
-		sched *core.Scheduler
-		err   error
-	)
-	mode := "incremental"
-	if *fullBuild {
-		mode = "full-rebuild"
-		builder := func(w *dataset.Dataset) (*core.Model, error) {
-			m, err := core.BuildKERT(kcfg, w)
-			if err != nil {
-				return nil, err
-			}
-			return m, relearn(m, w, obs.TraceContext{})
-		}
-		sched, err = core.NewScheduler(scfg, cols, builder)
-	} else {
-		var ik *core.IncrementalKERT
-		ik, err = core.NewIncrementalKERT(kcfg, scfg.WindowPoints())
-		if err != nil {
-			fatal(err.Error())
-		}
-		sched, err = core.NewSchedulerIncremental(scfg, &relearnBuilder{ik: ik, relearn: relearn})
-	}
+	sched, err := newScheduler(modelConfig(wf), scfg, relearn)
 	if err != nil {
 		fatal(err.Error())
 	}
-	fmt.Printf("schedule: T_CON = %v, window = %d points, %s reconstructions\n",
-		sched.Config().TCon(), sched.Config().WindowPoints(), mode)
+	fmt.Printf("schedule: T_CON = %v, window = %d points, incremental reconstructions\n",
+		sched.Config().TCon(), sched.Config().WindowPoints())
 
 	// Optional model-health telemetry: the monitor rides the scheduler's
 	// data path, scoring every row against the live model. Observe-only
@@ -492,18 +464,39 @@ func main() {
 	}
 }
 
-// relearnBuilder adapts IncrementalKERT to the scheduler's incremental
-// interface while keeping kertmon's post-build hook: after each refit from
-// sufficient statistics, the decentralized relearn (when enabled) runs over
-// the window snapshot exactly as in the full-rebuild path.
-type relearnBuilder struct {
-	ik      *core.IncrementalKERT
-	relearn func(*core.Model, *dataset.Dataset, obs.TraceContext) error
-	trace   obs.TraceContext
+// modelConfig is kertmon's model: a discrete KERT-BN over wf with 6 bins
+// per service and a 0.02 leak on D.
+func modelConfig(wf *workflow.Node) core.KERTConfig {
+	kcfg := core.DefaultKERTConfig(wf)
+	kcfg.Type = core.DiscreteModel
+	kcfg.Bins = 6
+	kcfg.Leak = 0.02
+	return kcfg
 }
 
-func (b *relearnBuilder) Ingest(row []float64) error { return b.ik.Ingest(row) }
-func (b *relearnBuilder) Len() int                   { return b.ik.Len() }
+// relearnFunc runs after each refit over the model and its window.
+type relearnFunc func(*core.Model, *dataset.Dataset, obs.TraceContext) error
+
+// newScheduler builds kertmon's reconstruction scheduler: an incremental
+// KERT-BN over a K·α window whose every refit is followed by relearn.
+func newScheduler(kcfg core.KERTConfig, scfg core.ScheduleConfig, relearn relearnFunc) (*core.Scheduler, error) {
+	ik, err := core.NewIncrementalKERT(kcfg, scfg.WindowPoints())
+	if err != nil {
+		return nil, err
+	}
+	return core.NewSchedulerIncremental(scfg, &relearnBuilder{IncrementalKERT: ik, relearn: relearn})
+}
+
+// relearnBuilder is IncrementalKERT with kertmon's post-build hook: after
+// each refit from sufficient statistics, the decentralized relearn (when
+// enabled) runs over the window snapshot. Embedding keeps IncrementalKERT's
+// Ingest, Len, TruncateWindow and InvalidateStructure visible to the
+// scheduler, so drift rebuilds truncate the window and refit the codec.
+type relearnBuilder struct {
+	*core.IncrementalKERT
+	relearn relearnFunc
+	trace   obs.TraceContext
+}
 
 // SetBuildTrace implements core.TraceAwareBuilder: the scheduler hands over
 // the trace context of the row that triggered this rebuild so the
@@ -512,11 +505,11 @@ func (b *relearnBuilder) Len() int                   { return b.ik.Len() }
 func (b *relearnBuilder) SetBuildTrace(tc obs.TraceContext) { b.trace = tc }
 
 func (b *relearnBuilder) Build() (*core.Model, error) {
-	m, err := b.ik.Build()
+	m, err := b.IncrementalKERT.Build()
 	if err != nil {
 		return nil, err
 	}
-	return m, b.relearn(m, b.ik.Snapshot(), b.trace)
+	return m, b.relearn(m, b.Snapshot(), b.trace)
 }
 
 // decentralRelearn re-learns the service CPDs of a freshly built discrete

@@ -89,21 +89,6 @@ func TestDiscreteNodeCardValidation(t *testing.T) {
 	}
 }
 
-func TestAddEdgeByName(t *testing.T) {
-	n := NewNetwork()
-	_, _ = n.AddDiscreteNode("a", 2)
-	_, _ = n.AddDiscreteNode("b", 2)
-	if err := n.AddEdgeByName("a", "b"); err != nil {
-		t.Fatal(err)
-	}
-	if err := n.AddEdgeByName("a", "zzz"); err == nil {
-		t.Fatal("unknown child should error")
-	}
-	if err := n.AddEdgeByName("zzz", "b"); err == nil {
-		t.Fatal("unknown parent should error")
-	}
-}
-
 func TestValidateMissingCPD(t *testing.T) {
 	n := NewNetwork()
 	_, _ = n.AddDiscreteNode("a", 2)
@@ -198,10 +183,10 @@ func TestTabularFactorMatchesCPT(t *testing.T) {
 	_ = tab.SetRow(1, []float64{0.4, 0.6})
 	// node id 5, parent id 2.
 	f := tab.Factor(5, []int{2})
-	if f.At([]int{0, 1}) != 0.3 { // parent=0 (var 2), node=1 (var 5)
+	if f.Values[1] != 0.3 { // parent=0 (var 2), node=1 (var 5)
 		t.Fatalf("factor entry wrong: %v", f.Values)
 	}
-	if f.At([]int{1, 0}) != 0.4 {
+	if f.Values[2] != 0.4 { // parent=1, node=0
 		t.Fatalf("factor entry wrong: %v", f.Values)
 	}
 }
@@ -270,13 +255,6 @@ func TestTabularFactorMatchesReference(t *testing.T) {
 	}
 }
 
-func TestTabularParamCount(t *testing.T) {
-	tab := NewTabular(3, []int{2, 2})
-	if tab.ParamCount() != 4*2 {
-		t.Fatalf("ParamCount = %d", tab.ParamCount())
-	}
-}
-
 func TestLinearGaussian(t *testing.T) {
 	g := NewLinearGaussian(1, []float64{2, -1}, 0.5)
 	if g.Mean([]float64{3, 4}) != 1+6-4 {
@@ -286,9 +264,6 @@ func TestLinearGaussian(t *testing.T) {
 	want := stats.NormalLogPDF(3, 3, 0.5)
 	if math.Abs(lp-want) > 1e-12 {
 		t.Fatal("LogProb wrong")
-	}
-	if g.ParamCount() != 4 {
-		t.Fatal("ParamCount wrong")
 	}
 	rng := stats.NewRNG(2)
 	s := stats.NewSummary()
@@ -446,30 +421,6 @@ func TestLogLikelihoodRowWidthMismatch(t *testing.T) {
 	n := buildSprinkler(t)
 	if _, _, err := n.LogLikelihood([][]float64{{0, 1}}); err == nil {
 		t.Fatal("short row should error")
-	}
-}
-
-func TestGaussianMixture1D(t *testing.T) {
-	m := &GaussianMixture1D{
-		Weights: []float64{0.5, 0.5},
-		Means:   []float64{0, 10},
-		Sigmas:  []float64{1, 1},
-	}
-	if math.Abs(m.Mean()-5) > 1e-12 {
-		t.Fatalf("mixture mean %g", m.Mean())
-	}
-	// Var = E[s²+m²] - mean² = 1 + 50 - 25 = 26.
-	if math.Abs(m.Variance()-26) > 1e-9 {
-		t.Fatalf("mixture variance %g", m.Variance())
-	}
-	if math.Abs(m.CDF(5)-0.5) > 1e-6 {
-		t.Fatalf("mixture CDF(5) = %g", m.CDF(5))
-	}
-	if math.Abs(m.Exceedance(5)-0.5) > 1e-6 {
-		t.Fatal("exceedance wrong")
-	}
-	if m.PDF(0) < m.PDF(5) {
-		t.Fatal("pdf should peak near components")
 	}
 }
 

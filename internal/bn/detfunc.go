@@ -79,7 +79,3 @@ func (d *DetFunc) Sample(rng *stats.RNG, parents []float64) float64 {
 	}
 	return rng.Normal(d.F(parents), d.Sigma)
 }
-
-// Mean returns the deterministic value f(parents) (the conditional mean up
-// to the leak component).
-func (d *DetFunc) Mean(parents []float64) float64 { return d.F(parents) }

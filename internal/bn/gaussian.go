@@ -2,7 +2,6 @@ package bn
 
 import (
 	"fmt"
-	"math"
 
 	"kertbn/internal/stats"
 )
@@ -57,80 +56,3 @@ func (g *LinearGaussian) LogProb(x float64, parents []float64) float64 {
 func (g *LinearGaussian) Sample(rng *stats.RNG, parents []float64) float64 {
 	return rng.Normal(g.Mean(parents), g.Sigma)
 }
-
-// ParamCount returns the number of free parameters.
-func (g *LinearGaussian) ParamCount() int { return len(g.Coef) + 2 }
-
-// Clone returns a deep copy.
-func (g *LinearGaussian) Clone() *LinearGaussian {
-	return NewLinearGaussian(g.Intercept, g.Coef, g.Sigma)
-}
-
-// GaussianMixture1D is a small helper distribution: a weighted mixture of
-// univariate Gaussians. It is how posterior distributions produced by
-// Monte-Carlo inference and the dComp/pAccel applications are reported.
-type GaussianMixture1D struct {
-	Weights []float64
-	Means   []float64
-	Sigmas  []float64
-}
-
-// Mean returns the mixture mean.
-func (m *GaussianMixture1D) Mean() float64 {
-	s, w := 0.0, 0.0
-	for i := range m.Weights {
-		s += m.Weights[i] * m.Means[i]
-		w += m.Weights[i]
-	}
-	if w == 0 {
-		return 0
-	}
-	return s / w
-}
-
-// Variance returns the mixture variance.
-func (m *GaussianMixture1D) Variance() float64 {
-	mu := m.Mean()
-	s, w := 0.0, 0.0
-	for i := range m.Weights {
-		d := m.Means[i] - mu
-		s += m.Weights[i] * (m.Sigmas[i]*m.Sigmas[i] + d*d)
-		w += m.Weights[i]
-	}
-	if w == 0 {
-		return 0
-	}
-	return s / w
-}
-
-// PDF evaluates the mixture density at x.
-func (m *GaussianMixture1D) PDF(x float64) float64 {
-	s, w := 0.0, 0.0
-	for i := range m.Weights {
-		s += m.Weights[i] * stats.NormalPDF(x, m.Means[i], m.Sigmas[i])
-		w += m.Weights[i]
-	}
-	if w == 0 {
-		return 0
-	}
-	return s / w
-}
-
-// CDF evaluates the mixture CDF at x.
-func (m *GaussianMixture1D) CDF(x float64) float64 {
-	s, w := 0.0, 0.0
-	for i := range m.Weights {
-		s += m.Weights[i] * stats.NormalCDF(x, m.Means[i], m.Sigmas[i])
-		w += m.Weights[i]
-	}
-	if w == 0 {
-		return 0
-	}
-	return s / w
-}
-
-// Exceedance returns P(X > h) under the mixture.
-func (m *GaussianMixture1D) Exceedance(h float64) float64 { return 1 - m.CDF(h) }
-
-// Std returns the mixture standard deviation.
-func (m *GaussianMixture1D) Std() float64 { return math.Sqrt(m.Variance()) }

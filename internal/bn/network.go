@@ -120,30 +120,8 @@ func (n *Network) AddEdge(parent, child int) error {
 	return n.dag.AddEdge(parent, child)
 }
 
-// AddEdgeByName inserts a directed edge parent→child (by name).
-func (n *Network) AddEdgeByName(parent, child string) error {
-	p := n.NodeByName(parent)
-	c := n.NodeByName(child)
-	if p == nil {
-		return fmt.Errorf("bn: unknown node %q", parent)
-	}
-	if c == nil {
-		return fmt.Errorf("bn: unknown node %q", child)
-	}
-	return n.dag.AddEdge(p.ID, c.ID)
-}
-
-// RemoveEdge deletes parent→child if present.
-func (n *Network) RemoveEdge(parent, child int) bool { return n.dag.RemoveEdge(parent, child) }
-
-// HasEdge reports whether parent→child exists.
-func (n *Network) HasEdge(parent, child int) bool { return n.dag.HasEdge(parent, child) }
-
 // Parents returns the sorted parent ids of node id.
 func (n *Network) Parents(id int) []int { return n.dag.Parents(id) }
-
-// Children returns the sorted child ids of node id.
-func (n *Network) Children(id int) []int { return n.dag.Children(id) }
 
 // TopoOrder returns a deterministic topological ordering of node ids.
 func (n *Network) TopoOrder() []int { return n.dag.TopoSort() }
@@ -237,19 +215,6 @@ func (n *Network) ParentValues(id int, row []float64) []float64 {
 		out[i] = row[p]
 	}
 	return out
-}
-
-// IDsByName maps a list of names to ids, erroring on unknowns.
-func (n *Network) IDsByName(names []string) ([]int, error) {
-	out := make([]int, len(names))
-	for i, name := range names {
-		node := n.NodeByName(name)
-		if node == nil {
-			return nil, fmt.Errorf("bn: unknown node %q", name)
-		}
-		out[i] = node.ID
-	}
-	return out, nil
 }
 
 // SortedIDs returns all node ids ascending (a convenience for callers that

@@ -99,13 +99,6 @@ func (t *Tabular) SetRow(cfg int, probs []float64) error {
 	return nil
 }
 
-// Row returns a copy of the distribution for configuration cfg.
-func (t *Tabular) Row(cfg int) []float64 {
-	out := make([]float64, t.Card)
-	copy(out, t.P[cfg*t.Card:(cfg+1)*t.Card])
-	return out
-}
-
 // Prob returns P(state | parent configuration).
 func (t *Tabular) Prob(state int, parents []int) float64 {
 	if state < 0 || state >= t.Card {
@@ -165,16 +158,4 @@ func (t *Tabular) Factor(nodeID int, parentIDs []int) *factor.Factor {
 	vars := append(append([]int(nil), parentIDs...), nodeID)
 	card := append(append([]int(nil), t.ParentCard...), t.Card)
 	return factor.FromTable(vars, card, t.P)
-}
-
-// ParamCount returns the number of free parameters (rows * (card-1)).
-func (t *Tabular) ParamCount() int { return t.Rows() * (t.Card - 1) }
-
-// Clone returns a deep copy.
-func (t *Tabular) Clone() *Tabular {
-	return &Tabular{
-		Card:       t.Card,
-		ParentCard: append([]int(nil), t.ParentCard...),
-		P:          append([]float64(nil), t.P...),
-	}
 }

@@ -74,48 +74,3 @@ func PosteriorBatch(ctx context.Context, m *Model, queries []Query, opts BatchOp
 	}
 	return out, nil
 }
-
-// DCompBatch runs Section 5.1's dComp for one unobservable target across
-// many observation rows (e.g. successive monitoring windows) concurrently.
-// Row i draws from opts.RNG.Split(i); see BatchOptions for the determinism
-// contract.
-func DCompBatch(ctx context.Context, m *Model, target int, observedRows []map[int]float64, opts BatchOptions) ([]*Posterior, error) {
-	queries := make([]Query, len(observedRows))
-	for i, obsRow := range observedRows {
-		if len(obsRow) == 0 {
-			return nil, fmt.Errorf("core: dComp batch row %d has no observed nodes", i)
-		}
-		queries[i] = Query{Target: target, Evidence: obsRow}
-	}
-	return PosteriorBatch(ctx, m, queries, opts)
-}
-
-// PAccelBatch runs Section 5.2's pAccel projection p(D | Z = E(z)) for many
-// candidate predicted means of one service concurrently — the what-if sweep
-// an autonomic manager runs before picking a resource-allocation action.
-func PAccelBatch(ctx context.Context, m *Model, service int, predictedMeans []float64, opts BatchOptions) ([]*Posterior, error) {
-	if service == m.DNode {
-		return nil, fmt.Errorf("core: pAccel conditions on a service node, not D")
-	}
-	queries := make([]Query, len(predictedMeans))
-	for i, mean := range predictedMeans {
-		queries[i] = Query{Target: m.DNode, Evidence: map[int]float64{service: mean}}
-	}
-	return PosteriorBatch(ctx, m, queries, opts)
-}
-
-// ThresholdSweepParallel evaluates Equation 5's ε over thresholds with up to
-// workers goroutines. Output is identical to ThresholdSweep — including the
-// NaN-skip contract for thresholds where P_real(D > h) = 0 — because each
-// entry is a pure function of its threshold.
-func ThresholdSweepParallel(ctx context.Context, post *Posterior, realD []float64, thresholds []float64, workers int) ([]float64, error) {
-	out := make([]float64, len(thresholds))
-	err := pool.ForEach(ctx, "core.sweep", len(thresholds), workers, func(i int) error {
-		out[i] = thresholdEntry(post, realD, thresholds[i])
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}

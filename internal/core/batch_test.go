@@ -114,78 +114,3 @@ func TestBatchCancellationMidBatch(t *testing.T) {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}
 }
-
-func TestDCompBatch(t *testing.T) {
-	m := edKERT(t)
-	rows := []map[int]float64{
-		{0: 0.3, m.DNode: 1.1},
-		{0: 0.35, m.DNode: 1.3},
-		{0: 0.4, m.DNode: 1.5},
-	}
-	posts, err := DCompBatch(context.Background(), m, 3, rows, BatchOptions{NSamples: 3000, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(posts) != 3 {
-		t.Fatalf("got %d posteriors", len(posts))
-	}
-	// Row i must equal the single-query dComp with rng = root.Split(i).
-	for i, row := range rows {
-		single, err := DComp(m, 3, row, DCompOptions{NSamples: 3000, RNG: stats.NewRNG(1).Split(uint64(i))})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for k := range single.Probs {
-			if posts[i].Probs[k] != single.Probs[k] {
-				t.Fatalf("row %d differs from single dComp", i)
-			}
-		}
-	}
-	if _, err := DCompBatch(context.Background(), m, 3, []map[int]float64{{}}, BatchOptions{}); err == nil {
-		t.Fatal("empty observation row should error")
-	}
-}
-
-func TestPAccelBatch(t *testing.T) {
-	m := edKERT(t)
-	means := []float64{0.2, 0.3, 0.4}
-	posts, err := PAccelBatch(context.Background(), m, 3, means, BatchOptions{NSamples: 3000, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(posts) != 3 {
-		t.Fatalf("got %d posteriors", len(posts))
-	}
-	// A larger predicted service mean must not shrink projected D.
-	if posts[2].Mean() < posts[0].Mean() {
-		t.Fatalf("projected D should grow with the service mean: %g vs %g",
-			posts[0].Mean(), posts[2].Mean())
-	}
-	if _, err := PAccelBatch(context.Background(), m, m.DNode, means, BatchOptions{}); err == nil {
-		t.Fatal("conditioning on D should error")
-	}
-}
-
-func TestThresholdSweepParallelMatchesSerial(t *testing.T) {
-	m := edKERT(t)
-	post, err := PriorMarginal(m, m.DNode, 3000, stats.NewRNG(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	realD := []float64{0.8, 1.0, 1.2, 1.4, 1.9}
-	thresholds := []float64{0.5, 1.0, 1.5, 100.0} // last one → P_real = 0 → NaN
-	serial := ThresholdSweep(post, realD, thresholds)
-	par, err := ThresholdSweepParallel(context.Background(), post, realD, thresholds, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range serial {
-		same := serial[i] == par[i] || (serial[i] != serial[i] && par[i] != par[i])
-		if !same {
-			t.Fatalf("entry %d: parallel %g vs serial %g", i, par[i], serial[i])
-		}
-	}
-	if par[3] == par[3] {
-		t.Fatal("undefined threshold must stay NaN in the parallel sweep")
-	}
-}

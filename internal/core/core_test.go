@@ -4,7 +4,6 @@ import (
 	"math"
 	"sync"
 	"testing"
-	"time"
 
 	"kertbn/internal/bn"
 	"kertbn/internal/dataset"
@@ -40,12 +39,12 @@ func TestBuildContinuousKERT(t *testing.T) {
 	// Structure: X1→X2, X2→X3, X2→X4, X3→X5, X4→X6, all → D.
 	wantEdges := [][2]int{{0, 1}, {1, 2}, {1, 3}, {2, 4}, {3, 5}}
 	for _, e := range wantEdges {
-		if !m.Net.HasEdge(e[0], e[1]) {
+		if !m.Net.DAG().HasEdge(e[0], e[1]) {
 			t.Fatalf("missing workflow edge %v", e)
 		}
 	}
 	for i := 0; i < 6; i++ {
-		if !m.Net.HasEdge(i, m.DNode) {
+		if !m.Net.DAG().HasEdge(i, m.DNode) {
 			t.Fatalf("missing D edge from %d", i)
 		}
 	}
@@ -79,25 +78,6 @@ func TestBuildKERTValidation(t *testing.T) {
 	_ = cols.Append([]float64{1, 2, 3})
 	if _, err := BuildKERT(DefaultKERTConfig(bad), cols); err == nil {
 		t.Fatal("sparse service indices should error")
-	}
-}
-
-func TestContinuousKERTPredicts(t *testing.T) {
-	sys, train := edData(t, 500, 3)
-	m, err := BuildKERT(DefaultKERTConfig(sys.Workflow), train)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := []float64{1, 2, 3, 4, 5, 6}
-	d, err := m.PredictResponseTime(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d != 13 {
-		t.Fatalf("f(X) = %g, want 13", d)
-	}
-	if _, err := m.PredictResponseTime([]float64{1}); err == nil {
-		t.Fatal("short vector should error")
 	}
 }
 
@@ -481,7 +461,7 @@ func TestSchedulerRebuilds(t *testing.T) {
 		return BuildKERT(DefaultKERTConfig(sys.Workflow), w)
 	}
 	cfg := ScheduleConfig{TData: 1, Alpha: 10, K: 3}
-	sched, err := NewScheduler(cfg, core_testColumns(), builder)
+	sched, err := NewSchedulerIncremental(cfg, newWindowBuilder(t, cfg, core_testColumns(), builder))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -514,11 +494,11 @@ func core_testColumns() []string {
 }
 
 func TestSchedulerValidation(t *testing.T) {
-	if _, err := NewScheduler(ScheduleConfig{}, nil, nil); err == nil {
+	cfg := ScheduleConfig{TData: 1, Alpha: 1, K: 1}
+	if _, err := NewSchedulerIncremental(ScheduleConfig{}, newWindowBuilder(t, cfg, []string{"a"}, nil)); err == nil {
 		t.Fatal("bad config should error")
 	}
-	cfg := ScheduleConfig{TData: 1, Alpha: 1, K: 1}
-	if _, err := NewScheduler(cfg, []string{"a"}, nil); err == nil {
+	if _, err := NewSchedulerIncremental(cfg, nil); err == nil {
 		t.Fatal("nil builder should error")
 	}
 }
@@ -586,7 +566,7 @@ func TestLearnDCPDAblationDiscrete(t *testing.T) {
 	// smoothed prior — the data-hunger the Eq.4 CPD avoids.
 	uniform := 0
 	for cfgIdx := 0; cfgIdx < tab.Rows(); cfgIdx++ {
-		row := tab.Row(cfgIdx)
+		row := tab.P[cfgIdx*tab.Card : (cfgIdx+1)*tab.Card]
 		isUniform := true
 		for _, p := range row {
 			if math.Abs(p-0.25) > 1e-9 {
@@ -665,49 +645,13 @@ func TestPLocalValidation(t *testing.T) {
 	}
 }
 
-func TestCombineCorrelationMetric(t *testing.T) {
-	tCon := 2 * time.Minute
-	// One manager acting every 10 minutes → K = 5.
-	k, err := CombineCorrelationMetric([]time.Duration{10 * time.Minute}, tCon)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k != 5 {
-		t.Fatalf("K = %d, want 5", k)
-	}
-	// Multiple managers: the fastest one wins.
-	k, err = CombineCorrelationMetric([]time.Duration{30 * time.Minute, 6 * time.Minute, time.Hour}, tCon)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k != 3 {
-		t.Fatalf("K = %d, want 3", k)
-	}
-	// A manager faster than T_CON still yields K = 1.
-	k, err = CombineCorrelationMetric([]time.Duration{30 * time.Second}, tCon)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k != 1 {
-		t.Fatalf("K = %d, want 1", k)
-	}
-	if _, err := CombineCorrelationMetric(nil, tCon); err == nil {
-		t.Fatal("no intervals should error")
-	}
-	if _, err := CombineCorrelationMetric([]time.Duration{0}, tCon); err == nil {
-		t.Fatal("zero interval should error")
-	}
-	if _, err := CombineCorrelationMetric([]time.Duration{time.Minute}, 0); err == nil {
-		t.Fatal("zero T_CON should error")
-	}
-}
-
 func TestSchedulerConcurrentPush(t *testing.T) {
 	sys, _ := edData(t, 1, 70)
 	builder := func(w *dataset.Dataset) (*Model, error) {
 		return BuildKERT(DefaultKERTConfig(sys.Workflow), w)
 	}
-	sched, err := NewScheduler(ScheduleConfig{TData: 1, Alpha: 25, K: 2}, core_testColumns(), builder)
+	cfg := ScheduleConfig{TData: 1, Alpha: 25, K: 2}
+	sched, err := NewSchedulerIncremental(cfg, newWindowBuilder(t, cfg, core_testColumns(), builder))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,8 +25,8 @@ func TestTimeoutCountKERTContinuous(t *testing.T) {
 	// D's CPD must be the sum function: f(1..1) = 6.
 	det := m.Net.Node(m.DNode).CPD.(*bn.DetFunc)
 	ones := []float64{1, 1, 1, 1, 1, 1}
-	if det.Mean(ones) != 6 {
-		t.Fatalf("timeout-count f(1,..,1) = %g, want 6", det.Mean(ones))
+	if det.F(ones) != 6 {
+		t.Fatalf("timeout-count f(1,..,1) = %g, want 6", det.F(ones))
 	}
 	// Likelihood on held-out count data must be finite: D ≡ Σ X exactly.
 	test, err := cs.GenerateDataset(100, rng)

@@ -20,7 +20,6 @@ var (
 	incKERTBuilds    = obs.C("build.kert.incremental.builds")
 	incInvalidations = obs.C("build.kert.incremental.invalidations")
 	incRowsIngested  = obs.C("build.kert.incremental.rows")
-	incNRTBuilds     = obs.C("build.nrt.incremental.builds")
 )
 
 // structureHash fingerprints everything that determines the shape and
@@ -71,39 +70,6 @@ func hashCodec(put func(...uint64), putF func(...float64), c *dataset.Codec) {
 		putF(d.Cuts...)
 		putF(d.Centers...)
 	}
-}
-
-// dagHash fingerprints a learned NRT structure (node kinds + edge list +
-// codec geometry), the invalidation key for incremental NRT refits.
-func dagHash(specs []learn.VarSpec, edges [][2]int, codec *dataset.Codec) uint64 {
-	h := fnv.New64a()
-	put := func(vs ...uint64) {
-		var b [8]byte
-		for _, v := range vs {
-			binary.LittleEndian.PutUint64(b[:], v)
-			h.Write(b[:])
-		}
-	}
-	putF := func(vs ...float64) {
-		for _, v := range vs {
-			put(math.Float64bits(v))
-		}
-	}
-	for _, s := range specs {
-		h.Write([]byte(s.Name))
-		if s.Continuous {
-			put(1)
-		} else {
-			put(0, uint64(s.Card))
-		}
-	}
-	for _, e := range edges {
-		put(uint64(e[0]), uint64(e[1]))
-	}
-	if codec != nil {
-		hashCodec(put, putF, codec)
-	}
-	return h.Sum64()
 }
 
 // MaxParamDiff returns the largest absolute difference between
@@ -350,7 +316,8 @@ func (ik *IncrementalKERT) TruncateWindow(keep int) (int, error) {
 // Len returns the number of buffered points.
 func (ik *IncrementalKERT) Len() int { return ik.stream.Len() }
 
-// Snapshot copies the buffered window — the full-rebuild escape hatch.
+// Snapshot copies the buffered window: the batch oracle's input and the
+// data a post-build hook (kertmon's decentralized relearn) works on.
 func (ik *IncrementalKERT) Snapshot() *dataset.Dataset { return ik.stream.Snapshot() }
 
 // Config returns the (default-filled) build configuration, including any
@@ -585,258 +552,5 @@ func (ik *IncrementalKERT) buildDiscrete(sp *obs.Span) (*Model, error) {
 		Codec:        cfg.Codec,
 		Cost:         cost,
 		Knowledge:    true,
-	}, nil
-}
-
-// nrtAcc accumulates per-node sufficient statistics for a learned NRT
-// structure: regression moments for continuous networks, count tables over
-// encoded rows for discrete ones.
-type nrtAcc struct {
-	codec *dataset.Codec // discrete only
-	lg    []*learn.LGStats
-	tabs  []*learn.TabularStats
-}
-
-func (a *nrtAcc) AddRow(row []float64) error {
-	if a.codec != nil {
-		enc, err := a.codec.EncodeRow(row)
-		if err != nil {
-			return err
-		}
-		for _, ts := range a.tabs {
-			if err := ts.AddRow(enc); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	for _, g := range a.lg {
-		if err := g.AddRow(row); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (a *nrtAcc) RemoveRow(row []float64) error {
-	if a.codec != nil {
-		enc, err := a.codec.EncodeRow(row)
-		if err != nil {
-			return err
-		}
-		for _, ts := range a.tabs {
-			if err := ts.RemoveRow(enc); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	for _, g := range a.lg {
-		if err := g.RemoveRow(row); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// IncrementalNRT maintains an NRT-BN over a sliding window. The expensive
-// part of BuildNRT — K2 structure search — runs only on the first Build
-// (and after InvalidateStructure); every later Build refits the parameters
-// of the learned DAG from sufficient statistics, matching a from-scratch
-// FitParameters over the same structure and window to within 1e-9.
-type IncrementalNRT struct {
-	cfg     NRTConfig
-	stream  *dataset.Stream
-	columns []string
-
-	specs []learn.VarSpec
-	edges [][2]int
-	codec *dataset.Codec
-	cost  learn.Cost // structure-search cost, carried into refit models
-	acc   *nrtAcc
-}
-
-// NewIncrementalNRT creates an incremental NRT builder over a sliding
-// window of at most capacity rows with the given column names.
-func NewIncrementalNRT(cfg NRTConfig, columns []string, capacity int) (*IncrementalNRT, error) {
-	if cfg.Bins == 0 {
-		cfg.Bins = 5
-	}
-	if len(columns) < 2 {
-		return nil, fmt.Errorf("core: need at least 2 columns (one service + D)")
-	}
-	st, err := dataset.NewStream(columns, capacity)
-	if err != nil {
-		return nil, err
-	}
-	return &IncrementalNRT{cfg: cfg, stream: st, columns: append([]string(nil), columns...)}, nil
-}
-
-// Ingest folds one data point into the window and every bound accumulator.
-func (in *IncrementalNRT) Ingest(row []float64) error {
-	if err := in.stream.Push(row); err != nil {
-		return err
-	}
-	incRowsIngested.Inc()
-	return nil
-}
-
-// Len returns the number of buffered points.
-func (in *IncrementalNRT) Len() int { return in.stream.Len() }
-
-// TruncateWindow keeps only the newest keep rows, reverse-updating the
-// accumulators for every dropped row (see IncrementalKERT.TruncateWindow).
-func (in *IncrementalNRT) TruncateWindow(keep int) (int, error) {
-	return in.stream.Truncate(keep)
-}
-
-// InvalidateStructure forces the next Build to re-run K2 structure search
-// (and, for discrete models, refit the codec) from the buffered window.
-func (in *IncrementalNRT) InvalidateStructure() {
-	in.specs, in.edges, in.codec = nil, nil, nil
-}
-
-// Build returns the current model. The first call performs a full BuildNRT
-// (structure + parameters); subsequent calls refit parameters from the
-// accumulators without re-scanning the window or re-running K2.
-func (in *IncrementalNRT) Build() (*Model, error) {
-	sp := obs.StartSpan("build.nrt.incremental")
-	defer sp.End()
-	if in.specs == nil {
-		full, err := BuildNRT(in.cfg, in.stream.Snapshot())
-		if err != nil {
-			return nil, err
-		}
-		in.specs = make([]learn.VarSpec, full.Net.N())
-		for i := range in.specs {
-			in.specs[i] = learn.VarSpec{
-				Name:       full.Net.Node(i).Name,
-				Continuous: in.cfg.Type == ContinuousModel,
-				Card:       in.cfg.Bins,
-			}
-		}
-		in.edges = in.edges[:0]
-		for id := 0; id < full.Net.N(); id++ {
-			for _, p := range full.Net.Parents(id) {
-				in.edges = append(in.edges, [2]int{p, id})
-			}
-		}
-		in.codec = full.Codec
-		in.cost = full.Cost
-		if _, err := in.stream.Bind(dagHash(in.specs, in.edges, in.codec), in.bindAccumulators); err != nil {
-			return nil, err
-		}
-		incNRTBuilds.Inc()
-		return full, nil
-	}
-	_, wasBound := in.stream.Bound()
-	rebuilt, err := in.stream.Bind(dagHash(in.specs, in.edges, in.codec), in.bindAccumulators)
-	if err != nil {
-		return nil, err
-	}
-	if rebuilt && wasBound {
-		incInvalidations.Inc()
-	}
-	var m *Model
-	err = in.stream.View(func(win *dataset.Window) error {
-		if win.Len() == 0 {
-			return fmt.Errorf("core: empty training data")
-		}
-		var err error
-		m, err = in.refit()
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	incNRTBuilds.Inc()
-	return m, nil
-}
-
-func (in *IncrementalNRT) bindAccumulators() ([]dataset.Accumulator, error) {
-	net, err := in.materialize()
-	if err != nil {
-		return nil, err
-	}
-	acc := &nrtAcc{codec: in.codec}
-	for id := 0; id < net.N(); id++ {
-		parents := net.Parents(id)
-		if in.cfg.Type == DiscreteModel {
-			parentCard := make([]int, len(parents))
-			for i := range parents {
-				parentCard[i] = in.cfg.Bins
-			}
-			ts, err := learn.NewTabularStats(id, in.cfg.Bins, parents, parentCard)
-			if err != nil {
-				return nil, err
-			}
-			acc.tabs = append(acc.tabs, ts)
-		} else {
-			acc.lg = append(acc.lg, learn.NewLGStats(id, parents))
-		}
-	}
-	in.acc = acc
-	return []dataset.Accumulator{acc}, nil
-}
-
-// materialize rebuilds an empty network with the learned structure.
-func (in *IncrementalNRT) materialize() (*bn.Network, error) {
-	net := bn.NewNetwork()
-	for _, s := range in.specs {
-		var err error
-		if s.Continuous {
-			_, err = net.AddContinuousNode(s.Name)
-		} else {
-			_, err = net.AddDiscreteNode(s.Name, s.Card)
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-	for _, e := range in.edges {
-		if err := net.AddEdge(e[0], e[1]); err != nil {
-			return nil, err
-		}
-	}
-	return net, nil
-}
-
-func (in *IncrementalNRT) refit() (*Model, error) {
-	net, err := in.materialize()
-	if err != nil {
-		return nil, err
-	}
-	cost := in.cost
-	for _, g := range in.acc.lg {
-		cpd, c, err := learn.FitLinearGaussianFromStats(g)
-		cost.Add(c)
-		if err != nil {
-			return nil, err
-		}
-		if err := net.SetCPD(g.Child, cpd); err != nil {
-			return nil, err
-		}
-	}
-	for _, ts := range in.acc.tabs {
-		cpd, c, err := learn.FitTabularFromStats(ts, in.cfg.Learn)
-		cost.Add(c)
-		if err != nil {
-			return nil, err
-		}
-		if err := net.SetCPD(ts.Child, cpd); err != nil {
-			return nil, err
-		}
-	}
-	if err := net.Validate(); err != nil {
-		return nil, err
-	}
-	return &Model{
-		Net:         net,
-		NumServices: len(in.specs) - 1,
-		DNode:       len(in.specs) - 1,
-		Type:        in.cfg.Type,
-		Codec:       in.codec,
-		Cost:        cost,
-		Knowledge:   false,
 	}, nil
 }

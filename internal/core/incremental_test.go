@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"kertbn/internal/learn"
 	"kertbn/internal/simsvc"
 	"kertbn/internal/stats"
 )
@@ -202,62 +201,6 @@ func TestIncrementalKERTLearnDCPDEquivalence(t *testing.T) {
 	}
 	if diff > 1e-9 {
 		t.Fatalf("LearnDCPD incremental vs full param diff %g > 1e-9", diff)
-	}
-}
-
-// IncrementalNRT: K2 runs once, then refits must equal a from-scratch
-// parameter fit of the learned structure over the current window.
-func TestIncrementalNRTEquivalence(t *testing.T) {
-	sys := simsvc.EDiaMoNDSystem()
-	rng := stats.NewRNG(4)
-	const window = 100
-	cols := make([]string, 7)
-	data, err := sys.GenerateDataset(2*window+13, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	copy(cols, data.Columns)
-	in, err := NewIncrementalNRT(DefaultNRTConfig(), cols, window)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < window; i++ {
-		if err := in.Ingest(data.Rows[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	first, err := in.Build() // full K2 + fit
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first.Knowledge {
-		t.Fatal("NRT model must not claim knowledge")
-	}
-	for i := window; i < len(data.Rows); i++ {
-		if err := in.Ingest(data.Rows[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	inc, err := in.Build() // refit from accumulators
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Reference: same learned structure, parameters fit from scratch over
-	// the window snapshot.
-	ref, err := in.materialize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := learn.FitParameters(ref, in.stream.Snapshot().Rows, in.cfg.Learn); err != nil {
-		t.Fatal(err)
-	}
-	refModel := &Model{Net: ref, NumServices: 6, DNode: 6, Type: ContinuousModel}
-	diff, err := MaxParamDiff(inc, refModel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if diff > 1e-9 {
-		t.Fatalf("incremental NRT refit vs from-scratch fit diff %g > 1e-9", diff)
 	}
 }
 

@@ -95,10 +95,6 @@ func (m *Model) SetProvenance(generation int, tc obs.TraceContext) {
 // (0 for models never stamped).
 func (m *Model) Generation() int { return m.generation }
 
-// BuildTrace returns the trace context of the reconstruction that produced
-// the model (zero when the rebuild was not sampled).
-func (m *Model) BuildTrace() obs.TraceContext { return m.buildTrace }
-
 // ClaimFirstQueryTrace returns the build trace exactly once — to the first
 // posterior query served by this model generation, which closes the
 // autonomic loop's trace: measurement → rebuild → swap → first answer.
@@ -150,17 +146,4 @@ func (m *Model) modelRows(d *dataset.Dataset) ([][]float64, error) {
 		return nil, err
 	}
 	return enc.Rows, nil
-}
-
-// PredictResponseTime evaluates the knowledge-given deterministic function
-// f(X) on a vector of per-service elapsed times. Only available on KERT-BN
-// models (NRT-BN has no f).
-func (m *Model) PredictResponseTime(x []float64) (float64, error) {
-	if m.Wf == nil {
-		return 0, fmt.Errorf("core: model has no workflow knowledge (NRT-BN)")
-	}
-	if len(x) < m.NumServices {
-		return 0, fmt.Errorf("core: need %d elapsed times, got %d", m.NumServices, len(x))
-	}
-	return m.Wf.ResponseTime(x), nil
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"kertbn/internal/bn"
 	"kertbn/internal/simsvc"
 	"kertbn/internal/stats"
 )
@@ -68,15 +69,7 @@ func TestPersistContinuousKERT(t *testing.T) {
 	back := roundTrip(t, m)
 	// The re-derived DetFunc must evaluate the same f.
 	x := []float64{1, 2, 3, 4, 5, 6}
-	a, err := m.PredictResponseTime(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := back.PredictResponseTime(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
+	if a, b := detF(t, m)(x), detF(t, back)(x); a != b {
 		t.Fatalf("f changed after round trip: %g vs %g", a, b)
 	}
 	_, test := edData(t, 100, 43)
@@ -123,10 +116,9 @@ func TestPersistTimeoutCountMetric(t *testing.T) {
 		t.Fatal("metric kind lost")
 	}
 	// f must be the sum, not the Cardoso reduction.
-	a, _ := back.PredictResponseTime([]float64{1, 1, 1, 1, 1, 1})
-	// PredictResponseTime uses the workflow's Cardoso f; the persisted
-	// DetFunc must use the count metric. Compare via likelihood instead.
-	_ = a
+	if got := detF(t, back)([]float64{1, 1, 1, 1, 1, 1}); got != 6 {
+		t.Fatalf("persisted count f(1,…,1) = %g, want the sum 6", got)
+	}
 	test, err := cs.GenerateDataset(50, rng)
 	if err != nil {
 		t.Fatal(err)
@@ -142,4 +134,14 @@ func TestLoadModelGarbage(t *testing.T) {
 	if _, err := LoadModel(bytes.NewBufferString("not a gob stream")); err == nil {
 		t.Fatal("garbage input should error")
 	}
+}
+
+// detF returns the deterministic function of m's D node.
+func detF(t *testing.T, m *Model) func([]float64) float64 {
+	t.Helper()
+	df, ok := m.Net.Node(m.DNode).CPD.(*bn.DetFunc)
+	if !ok {
+		t.Fatalf("D's CPD is %T, want *bn.DetFunc", m.Net.Node(m.DNode).CPD)
+	}
+	return df.F
 }

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"kertbn/internal/dataset"
 	"kertbn/internal/obs"
 )
 
@@ -75,45 +74,10 @@ func (c ScheduleConfig) WindowDuration() time.Duration { return time.Duration(c.
 // the model, K·α_model.
 func (c ScheduleConfig) WindowPoints() int { return c.K * c.Alpha }
 
-// CombineCorrelationMetric derives the Environmental Correlation Metric K
-// from the autonomic change intervals of the managers operating on the
-// environment, per the paper's footnote: with multiple autonomic managers
-// present, K should be a statistical combination of their change intervals
-// — taking the minimum is appropriate, since the fastest-acting manager is
-// the one that invalidates old data first. The result is how many
-// construction intervals fit inside that shortest change interval (at
-// least 1).
-func CombineCorrelationMetric(changeIntervals []time.Duration, tCon time.Duration) (int, error) {
-	if tCon <= 0 {
-		return 0, fmt.Errorf("core: T_CON must be positive")
-	}
-	if len(changeIntervals) == 0 {
-		return 0, fmt.Errorf("core: need at least one autonomic change interval")
-	}
-	minIv := changeIntervals[0]
-	for _, iv := range changeIntervals[1:] {
-		if iv < minIv {
-			minIv = iv
-		}
-	}
-	if minIv <= 0 {
-		return 0, fmt.Errorf("core: change intervals must be positive")
-	}
-	k := int(minIv / tCon)
-	if k < 1 {
-		k = 1
-	}
-	return k, nil
-}
-
-// Builder rebuilds a model from the current window snapshot. The returned
-// model replaces the scheduler's current one.
-type Builder func(window *dataset.Dataset) (*Model, error)
-
-// IncrementalBuilder is the streaming alternative to Builder: rows are
+// IncrementalBuilder is what the scheduler rebuilds through: rows are
 // ingested one at a time into sufficient-statistic accumulators, and Build
 // refits parameters from those accumulators without re-scanning the window
-// (see IncrementalKERT/IncrementalNRT).
+// (see IncrementalKERT).
 type IncrementalBuilder interface {
 	// Ingest folds one data point into the accumulators.
 	Ingest(row []float64) error
@@ -180,15 +144,10 @@ type WindowTruncator interface {
 // concurrent use — monitoring servers deliver rows from multiple
 // connections.
 type Scheduler struct {
-	cfg     ScheduleConfig
-	builder Builder
-
-	// Exactly one of window+builder (full refit per rebuild) or inc
-	// (incremental sufficient-statistics refit) is active.
+	cfg ScheduleConfig
 	inc IncrementalBuilder
 
 	mu      sync.Mutex
-	window  *dataset.Window
 	model   *Model
 	pushed  int
 	rebuilt int
@@ -206,27 +165,11 @@ type Scheduler struct {
 	driftRebuilds  int
 }
 
-// NewScheduler creates a scheduler over the given column layout.
-func NewScheduler(cfg ScheduleConfig, columns []string, builder Builder) (*Scheduler, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if builder == nil {
-		return nil, fmt.Errorf("core: scheduler needs a builder")
-	}
-	w, err := dataset.NewWindow(columns, cfg.WindowPoints())
-	if err != nil {
-		return nil, err
-	}
-	return &Scheduler{cfg: cfg, window: w, builder: builder}, nil
-}
-
 // NewSchedulerIncremental creates a scheduler that rebuilds through an
 // incremental builder: each Push streams into sufficient-statistic
 // accumulators and rebuilds refit from them, so reconstruction cost no
 // longer grows with the window length. The builder's window capacity
-// should match cfg.WindowPoints() (see NewIncrementalKERT /
-// NewIncrementalNRT).
+// should match cfg.WindowPoints() (see NewIncrementalKERT).
 func NewSchedulerIncremental(cfg ScheduleConfig, ib IncrementalBuilder) (*Scheduler, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -238,7 +181,7 @@ func NewSchedulerIncremental(cfg ScheduleConfig, ib IncrementalBuilder) (*Schedu
 }
 
 // Push feeds one data point. When a construction interval completes
-// (every α points) the model is rebuilt from the window snapshot; the
+// (every α points) the builder refits the model from its window; the
 // rebuilt model (or nil if no rebuild fired) is returned. The builder runs
 // while the scheduler lock is held, so concurrent pushes serialize behind
 // a reconstruction — exactly the back-pressure a real management server
@@ -283,11 +226,7 @@ func (s *Scheduler) PushCtx(row []float64, tc obs.TraceContext) (*Model, error) 
 		}
 	}
 
-	if s.inc != nil {
-		if err := s.inc.Ingest(row); err != nil {
-			return nil, err
-		}
-	} else if _, err := s.window.Push(row); err != nil {
+	if err := s.inc.Ingest(row); err != nil {
 		return nil, err
 	}
 	s.pushed++
@@ -308,10 +247,10 @@ func (s *Scheduler) PushCtx(row []float64, tc obs.TraceContext) (*Model, error) 
 		// K collapses to 1 and the window refills with fresh traffic.
 		s.driftRebuilds++
 		schedDriftRebuilds.Inc()
-		if inv, ok := s.inc.(StructureInvalidator); ok {
-			inv.InvalidateStructure()
-		}
-		dropped, err := s.truncateWindowLocked(s.cfg.Alpha)
+		// SetHealthPolicy admitted rebuildOnDrift only for builders
+		// implementing both interfaces.
+		s.inc.(StructureInvalidator).InvalidateStructure()
+		dropped, err := s.inc.(WindowTruncator).TruncateWindow(s.cfg.Alpha)
 		if err != nil {
 			return nil, fmt.Errorf("core: drift window truncation: %w", err)
 		}
@@ -328,13 +267,7 @@ func (s *Scheduler) PushCtx(row []float64, tc obs.TraceContext) (*Model, error) 
 		tb.SetBuildTrace(sp.Context())
 	}
 	start := time.Now()
-	var m *Model
-	var err error
-	if s.inc != nil {
-		m, err = s.inc.Build()
-	} else {
-		m, err = s.builder(s.window.Snapshot())
-	}
+	m, err := s.inc.Build()
 	buildCtx := sp.Context()
 	sp.End()
 	if err != nil {
@@ -355,7 +288,7 @@ func (s *Scheduler) PushCtx(row []float64, tc obs.TraceContext) (*Model, error) 
 	m.SetProvenance(s.rebuilt, buildCtx)
 	obs.J().Record(obs.Event{
 		Type: obs.EventRebuild, TraceID: tc.TraceID, SpanID: buildCtx.SpanID,
-		Generation: s.rebuilt, Rows: s.windowLenLocked(), Detail: cause,
+		Generation: s.rebuilt, Rows: s.inc.Len(), Detail: cause,
 	})
 	obs.J().Record(obs.Event{
 		Type: obs.EventGenerationSwap, TraceID: tc.TraceID, SpanID: buildCtx.SpanID,
@@ -371,26 +304,11 @@ func (s *Scheduler) PushCtx(row []float64, tc obs.TraceContext) (*Model, error) 
 	return m, nil
 }
 
-// truncateWindowLocked keeps only the newest keep window rows, through the
-// incremental builder's accumulator-consistent path when one is attached,
-// reporting how many rows were dropped.
-func (s *Scheduler) truncateWindowLocked(keep int) (int, error) {
-	if s.inc != nil {
-		if tr, ok := s.inc.(WindowTruncator); ok {
-			return tr.TruncateWindow(keep)
-		}
-		return 0, nil
-	}
-	before := s.window.Len()
-	s.window.DropOldest(before - keep)
-	return before - s.window.Len(), nil
-}
-
 // exportGaugesLocked publishes the scheduler state gauges — window
 // occupancy, rebuild count and last build duration — so /metrics always
 // reflects the live reconstruction scheme.
 func (s *Scheduler) exportGaugesLocked() {
-	wl := s.windowLenLocked()
+	wl := s.inc.Len()
 	schedWindowLen.Set(float64(wl))
 	schedWindowFill.Set(float64(wl) / float64(s.cfg.WindowPoints()))
 	schedRebuildsG.Set(float64(s.rebuilt))
@@ -400,12 +318,20 @@ func (s *Scheduler) exportGaugesLocked() {
 // SetHealthPolicy attaches a model-health policy (observe-only when
 // rebuildOnDrift is false). With rebuildOnDrift enabled, a consumed drift
 // alarm forces an immediate reconstruction ahead of the fixed α-cadence,
-// with structure invalidation on incremental builders and the window
-// truncated to the most recent construction interval (see WindowTruncator). If a model is
-// already deployed the policy is told about it immediately.
+// with the builder's structure invalidated and its window truncated to the
+// most recent construction interval; the builder must therefore implement
+// StructureInvalidator and WindowTruncator, or the policy is refused. If a
+// model is already deployed the policy is told about it immediately.
 func (s *Scheduler) SetHealthPolicy(p HealthPolicy, rebuildOnDrift bool) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if rebuildOnDrift && p != nil {
+		_, inv := s.inc.(StructureInvalidator)
+		_, tr := s.inc.(WindowTruncator)
+		if !inv || !tr {
+			return fmt.Errorf("core: drift rebuilds need a builder implementing StructureInvalidator and WindowTruncator, %T does not", s.inc)
+		}
+	}
 	s.health = p
 	s.rebuildOnDrift = rebuildOnDrift && p != nil
 	if p != nil && s.model != nil {
@@ -443,14 +369,7 @@ func (s *Scheduler) Rebuilds() int {
 func (s *Scheduler) WindowLen() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.windowLenLocked()
-}
-
-func (s *Scheduler) windowLenLocked() int {
-	if s.inc != nil {
-		return s.inc.Len()
-	}
-	return s.window.Len()
+	return s.inc.Len()
 }
 
 // LastBuildTime reports the wall-clock duration of the most recent

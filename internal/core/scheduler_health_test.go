@@ -23,7 +23,7 @@ func TestFailedBuilderDoesNotAdvanceRebuilds(t *testing.T) {
 		return &Model{}, nil
 	}
 	cfg := ScheduleConfig{TData: time.Second, Alpha: 3, K: 2}
-	s, err := NewScheduler(cfg, []string{"x", "D"}, builder)
+	s, err := NewSchedulerIncremental(cfg, newWindowBuilder(t, cfg, []string{"x", "D"}, builder))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,6 +62,40 @@ func TestFailedBuilderDoesNotAdvanceRebuilds(t *testing.T) {
 	if calls != 2 {
 		t.Errorf("builder invoked %d times, want 2", calls)
 	}
+}
+
+// windowBuilder is a test IncrementalBuilder that keeps the newest
+// K·α rows and rebuilds through build over a snapshot of them, as a
+// full refit would. It truncates and counts structure invalidations, so
+// drift rebuilds are allowed over it.
+type windowBuilder struct {
+	w             *dataset.Window
+	build         func(*dataset.Dataset) (*Model, error)
+	invalidations int
+}
+
+func newWindowBuilder(t testing.TB, cfg ScheduleConfig, columns []string, build func(*dataset.Dataset) (*Model, error)) *windowBuilder {
+	t.Helper()
+	w, err := dataset.NewWindow(columns, cfg.WindowPoints())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &windowBuilder{w: w, build: build}
+}
+
+func (b *windowBuilder) Ingest(row []float64) error {
+	_, err := b.w.Push(row)
+	return err
+}
+
+func (b *windowBuilder) Build() (*Model, error) { return b.build(b.w.Snapshot()) }
+func (b *windowBuilder) Len() int               { return b.w.Len() }
+func (b *windowBuilder) InvalidateStructure()   { b.invalidations++ }
+
+func (b *windowBuilder) TruncateWindow(keep int) (int, error) {
+	before := b.w.Len()
+	b.w.DropOldest(before - keep)
+	return before - b.w.Len(), nil
 }
 
 // stubPolicy is a scripted HealthPolicy for scheduler-contract tests.
@@ -108,7 +142,7 @@ func TestDriftAlarmForcesEarlyRebuild(t *testing.T) {
 		return &Model{}, nil
 	}
 	cfg := ScheduleConfig{TData: time.Second, Alpha: 10, K: 2}
-	s, err := NewScheduler(cfg, []string{"x", "D"}, builder)
+	s, err := NewSchedulerIncremental(cfg, newWindowBuilder(t, cfg, []string{"x", "D"}, builder))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +190,7 @@ func TestDriftAlarmForcesEarlyRebuild(t *testing.T) {
 func TestObserveOnlyPolicyNeverForcesRebuilds(t *testing.T) {
 	builder := func(w *dataset.Dataset) (*Model, error) { return &Model{}, nil }
 	cfg := ScheduleConfig{TData: time.Second, Alpha: 5, K: 2}
-	s, err := NewScheduler(cfg, []string{"x", "D"}, builder)
+	s, err := NewSchedulerIncremental(cfg, newWindowBuilder(t, cfg, []string{"x", "D"}, builder))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +219,7 @@ func TestObserveOnlyPolicyNeverForcesRebuilds(t *testing.T) {
 func TestHoldoutRowsSkipTrainingWindow(t *testing.T) {
 	builder := func(w *dataset.Dataset) (*Model, error) { return &Model{}, nil }
 	cfg := ScheduleConfig{TData: time.Second, Alpha: 4, K: 2}
-	s, err := NewScheduler(cfg, []string{"x", "D"}, builder)
+	s, err := NewSchedulerIncremental(cfg, newWindowBuilder(t, cfg, []string{"x", "D"}, builder))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,5 +251,42 @@ func TestHoldoutRowsSkipTrainingWindow(t *testing.T) {
 	}
 	if policy.observed != 6 {
 		t.Errorf("policy observed %d rows, want 6", policy.observed)
+	}
+}
+
+// TestDriftRebuildsNeedTruncatingBuilder: SetHealthPolicy refuses
+// rebuildOnDrift unless the builder can both truncate its window and
+// invalidate its structure, so a drift alarm can never rebuild over the
+// whole stale window. Observe-only policies stay allowed.
+func TestDriftRebuildsNeedTruncatingBuilder(t *testing.T) {
+	cfg := ScheduleConfig{TData: time.Second, Alpha: 5, K: 3}
+	wb := newWindowBuilder(t, cfg, []string{"x", "D"}, func(*dataset.Dataset) (*Model, error) { return &Model{}, nil })
+	type plain struct{ IncrementalBuilder }
+	type truncateOnly struct {
+		IncrementalBuilder
+		WindowTruncator
+	}
+	for name, b := range map[string]IncrementalBuilder{
+		"neither":       plain{wb},
+		"truncate only": truncateOnly{wb, wb},
+	} {
+		s, err := NewSchedulerIncremental(cfg, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		policy := &stubPolicy{alarmAt: 1}
+		if err := s.SetHealthPolicy(policy, true); err == nil {
+			t.Errorf("%s: drift rebuilds accepted over a builder that cannot truncate and invalidate", name)
+		}
+		if err := s.SetHealthPolicy(policy, false); err != nil {
+			t.Errorf("%s: observe-only policy refused: %v", name, err)
+		}
+	}
+	s, err := NewSchedulerIncremental(cfg, wb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SetHealthPolicy(&stubPolicy{}, true); err != nil {
+		t.Fatalf("drift rebuilds refused over a truncating builder: %v", err)
 	}
 }

@@ -73,7 +73,8 @@ func TestIncrementalKERTTruncateEquivalence(t *testing.T) {
 func TestDriftRebuildTruncatesWindow(t *testing.T) {
 	builder := func(w *dataset.Dataset) (*Model, error) { return &Model{}, nil }
 	cfg := ScheduleConfig{TData: time.Second, Alpha: 5, K: 3}
-	s, err := NewScheduler(cfg, []string{"x", "D"}, builder)
+	wb := newWindowBuilder(t, cfg, []string{"x", "D"}, builder)
+	s, err := NewSchedulerIncremental(cfg, wb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,6 +94,9 @@ func TestDriftRebuildTruncatesWindow(t *testing.T) {
 	}
 	if got := s.WindowLen(); got != cfg.Alpha {
 		t.Errorf("window holds %d rows after drift rebuild, want α = %d", got, cfg.Alpha)
+	}
+	if wb.invalidations != 1 {
+		t.Errorf("drift rebuild invalidated the builder's structure %d times, want 1", wb.invalidations)
 	}
 	// The window refills normally afterwards.
 	for i := 0; i < 12; i++ {

@@ -44,54 +44,12 @@ func (d *Dataset) Col(j int) []float64 {
 	return out
 }
 
-// ColByName returns a copy of the named column.
-func (d *Dataset) ColByName(name string) ([]float64, error) {
-	for j, c := range d.Columns {
-		if c == name {
-			return d.Col(j), nil
-		}
-	}
-	return nil, fmt.Errorf("dataset: unknown column %q", name)
-}
-
 // Head returns a dataset view over the first n rows (shared backing rows).
 func (d *Dataset) Head(n int) *Dataset {
 	if n > len(d.Rows) {
 		n = len(d.Rows)
 	}
 	return &Dataset{Columns: d.Columns, Rows: d.Rows[:n]}
-}
-
-// Tail returns a dataset view over the last n rows.
-func (d *Dataset) Tail(n int) *Dataset {
-	if n > len(d.Rows) {
-		n = len(d.Rows)
-	}
-	return &Dataset{Columns: d.Columns, Rows: d.Rows[len(d.Rows)-n:]}
-}
-
-// Split partitions the rows into a training prefix of trainFrac and a test
-// suffix (views sharing backing rows).
-func (d *Dataset) Split(trainFrac float64) (train, test *Dataset) {
-	if trainFrac < 0 {
-		trainFrac = 0
-	}
-	if trainFrac > 1 {
-		trainFrac = 1
-	}
-	cut := int(trainFrac * float64(len(d.Rows)))
-	return &Dataset{Columns: d.Columns, Rows: d.Rows[:cut]},
-		&Dataset{Columns: d.Columns, Rows: d.Rows[cut:]}
-}
-
-// Clone deep-copies the dataset.
-func (d *Dataset) Clone() *Dataset {
-	c := New(d.Columns)
-	c.Rows = make([][]float64, len(d.Rows))
-	for i, r := range d.Rows {
-		c.Rows[i] = append([]float64(nil), r...)
-	}
-	return c
 }
 
 // WriteCSV writes the dataset with a header row.

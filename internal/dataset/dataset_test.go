@@ -20,15 +20,8 @@ func TestAppendAndAccess(t *testing.T) {
 	if d.NumRows() != 2 || d.NumCols() != 2 {
 		t.Fatal("dims wrong")
 	}
-	col, err := d.ColByName("b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if col[0] != 2 || col[1] != 4 {
+	if col := d.Col(1); col[0] != 2 || col[1] != 4 {
 		t.Fatalf("col b = %v", col)
-	}
-	if _, err := d.ColByName("zzz"); err == nil {
-		t.Fatal("unknown column should error")
 	}
 }
 
@@ -49,7 +42,7 @@ func TestAppendCopies(t *testing.T) {
 	}
 }
 
-func TestHeadTailSplit(t *testing.T) {
+func TestHead(t *testing.T) {
 	d := New([]string{"a"})
 	for i := 0; i < 10; i++ {
 		_ = d.Append([]float64{float64(i)})
@@ -57,29 +50,8 @@ func TestHeadTailSplit(t *testing.T) {
 	if h := d.Head(3); h.NumRows() != 3 || h.Rows[2][0] != 2 {
 		t.Fatal("Head wrong")
 	}
-	if tl := d.Tail(2); tl.NumRows() != 2 || tl.Rows[0][0] != 8 {
-		t.Fatal("Tail wrong")
-	}
-	if d.Head(99).NumRows() != 10 || d.Tail(99).NumRows() != 10 {
+	if d.Head(99).NumRows() != 10 {
 		t.Fatal("over-length views should clamp")
-	}
-	train, test := d.Split(0.7)
-	if train.NumRows() != 7 || test.NumRows() != 3 {
-		t.Fatalf("split %d/%d", train.NumRows(), test.NumRows())
-	}
-	train, test = d.Split(-1)
-	if train.NumRows() != 0 || test.NumRows() != 10 {
-		t.Fatal("negative frac should clamp to 0")
-	}
-}
-
-func TestClone(t *testing.T) {
-	d := New([]string{"a"})
-	_ = d.Append([]float64{1})
-	c := d.Clone()
-	c.Rows[0][0] = 5
-	if d.Rows[0][0] != 1 {
-		t.Fatal("clone aliases rows")
 	}
 }
 

@@ -143,13 +143,10 @@ func (s *Stream) Len() int {
 	return s.win.Len()
 }
 
-// Snapshot copies the buffered rows, oldest first — the full-rebuild
-// escape hatch and the replay source for re-binding.
+// Snapshot copies the buffered rows, oldest first — the input of a batch
+// rebuild over the window and the replay source for re-binding.
 func (s *Stream) Snapshot() *Dataset {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.win.Snapshot()
 }
-
-// Columns returns the stream's column names.
-func (s *Stream) Columns() []string { return s.win.Columns }

@@ -12,8 +12,8 @@
 // value table is laid out with the FIRST variable as the slowest-moving
 // index (row-major over the sorted scope).
 //
-// The kernels walk tables instead of decoding them. Product, SumOut,
-// Reduce, SumProduct and FromTable visit entries in row-major index order:
+// The kernels walk tables instead of decoding them. Product, Reduce,
+// SumProduct and FromTable visit entries in row-major index order:
 // an odometer — a mixed-radix counter over the variables, last one fastest
 // — carries one flat offset per operand table and steps it by precomputed
 // jumps, so no entry pays a div/mod to turn its index into an assignment.

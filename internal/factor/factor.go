@@ -2,7 +2,6 @@ package factor
 
 import (
 	"fmt"
-	"math"
 	"slices"
 	"sort"
 )
@@ -81,32 +80,10 @@ func FromTable(vars, card []int, values []float64) *Factor {
 	}
 }
 
-// Uniform returns a factor with all entries set to 1.
-func Uniform(vars []int, card []int) *Factor {
-	f := New(vars, card)
-	for i := range f.Values {
-		f.Values[i] = 1
-	}
-	return f
-}
-
 // Scalar returns a zero-variable factor holding the single value v.
 func Scalar(v float64) *Factor {
 	return &Factor{Values: []float64{v}}
 }
-
-// Clone returns a deep copy.
-func (f *Factor) Clone() *Factor {
-	c := &Factor{
-		Vars:   append([]int(nil), f.Vars...),
-		Card:   append([]int(nil), f.Card...),
-		Values: append([]float64(nil), f.Values...),
-	}
-	return c
-}
-
-// Size returns the number of table entries.
-func (f *Factor) Size() int { return len(f.Values) }
 
 // Contains reports whether v is in the factor's scope.
 func (f *Factor) Contains(v int) bool { return indexOf(f.Vars, v) >= 0 }
@@ -141,19 +118,6 @@ func (f *Factor) Index(assign []int) int {
 	return idx
 }
 
-// Assignment converts a flat table index to an assignment (parallel to Vars).
-func (f *Factor) Assignment(idx int) []int {
-	out := make([]int, len(f.Vars))
-	for i := len(f.Vars) - 1; i >= 0; i-- {
-		out[i] = idx % f.Card[i]
-		idx /= f.Card[i]
-	}
-	return out
-}
-
-// At returns the value at the given assignment.
-func (f *Factor) At(assign []int) float64 { return f.Values[f.Index(assign)] }
-
 // Set assigns the value at the given assignment.
 func (f *Factor) Set(assign []int, v float64) { f.Values[f.Index(assign)] = v }
 
@@ -184,8 +148,8 @@ const sumProductBlock = 512
 // multiplies the operands in slice order (starting from 1) and adds the
 // terms in increasing state of v (starting from 0). Those are the
 // operations, in the order, that folding fs with Product from Scalar(1)
-// and then calling SumOut(v) performs, so the result is bit-identical to
-// that pair.
+// and then summing v out entry by entry performs, so the result is
+// bit-identical to that pair.
 func SumProduct(fs []*Factor, v int) *Factor {
 	vars, card := unionScope(fs...)
 	pos := indexOf(vars, v)
@@ -413,30 +377,6 @@ func (f *Factor) without(pos int) *Factor {
 	return newSorted(vars, card)
 }
 
-// SumOut marginalizes variable v out of f, returning a factor over the
-// remaining scope. Summing the last variable out of a single-variable
-// factor yields a scalar factor. f is walked in row-major index order as
-// blocks (the variables before v, v, the variables after v), so each output
-// entry adds its terms in increasing state of v, starting from 0.
-func (f *Factor) SumOut(v int) *Factor {
-	pos := indexOf(f.Vars, v)
-	if pos < 0 {
-		panic(fmt.Sprintf("factor: SumOut of variable %d not in scope", v))
-	}
-	out := f.without(pos)
-	states, inner := f.Card[pos], strides(f.Card)[pos]
-	for o, fi := 0, 0; fi < len(f.Values); o += inner {
-		dst := out.Values[o : o+inner]
-		for k := 0; k < states; k++ {
-			for r, val := range f.Values[fi : fi+inner] {
-				dst[r] += val
-			}
-			fi += inner
-		}
-	}
-	return out
-}
-
 // Reduce incorporates evidence v=value by keeping only the consistent
 // entries and dropping v from the scope: a strided copy of one block per
 // assignment of the variables before v.
@@ -450,7 +390,7 @@ func (f *Factor) Reduce(v, value int) *Factor {
 	}
 	out := f.without(pos)
 	if len(out.Vars) == 0 {
-		// A scalar result is accumulated from +0, as SumOut's is.
+		// A scalar result is accumulated from +0, as SumProduct's is.
 		out.Values[0] += f.Values[value]
 		return out
 	}
@@ -475,43 +415,4 @@ func (f *Factor) Normalize() float64 {
 		}
 	}
 	return s
-}
-
-// Sum returns the sum of all entries.
-func (f *Factor) Sum() float64 {
-	s := 0.0
-	for _, v := range f.Values {
-		s += v
-	}
-	return s
-}
-
-// MaxAssignment returns the assignment (parallel to Vars) with the largest
-// value, breaking ties toward the lowest flat index.
-func (f *Factor) MaxAssignment() ([]int, float64) {
-	best, bestV := 0, math.Inf(-1)
-	for i, v := range f.Values {
-		if v > bestV {
-			best, bestV = i, v
-		}
-	}
-	return f.Assignment(best), bestV
-}
-
-// Equal reports whether g has the same scope and values within tol.
-func (f *Factor) Equal(g *Factor, tol float64) bool {
-	if len(f.Vars) != len(g.Vars) || len(f.Values) != len(g.Values) {
-		return false
-	}
-	for i := range f.Vars {
-		if f.Vars[i] != g.Vars[i] || f.Card[i] != g.Card[i] {
-			return false
-		}
-	}
-	for i := range f.Values {
-		if math.Abs(f.Values[i]-g.Values[i]) > tol {
-			return false
-		}
-	}
-	return true
 }

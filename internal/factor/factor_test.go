@@ -17,8 +17,30 @@ func TestNewSortsScope(t *testing.T) {
 	if f.Card[0] != 4 || f.Card[1] != 2 {
 		t.Fatalf("Card = %v, want [4 2]", f.Card)
 	}
-	if f.Size() != 8 {
-		t.Fatalf("Size = %d", f.Size())
+	if len(f.Values) != 8 {
+		t.Fatalf("%d values, want 8", len(f.Values))
+	}
+	if !f.Contains(3) || f.Contains(2) {
+		t.Fatal("Contains wrong")
+	}
+}
+
+func TestIndexAssignmentRoundTrip(t *testing.T) {
+	f := New([]int{0, 1, 2}, []int{2, 3, 4})
+	a := make([]int, len(f.Vars))
+	for idx := range f.Values {
+		decode(f, idx, a)
+		if f.Index(a) != idx {
+			t.Fatalf("round-trip failed at %d: %v", idx, a)
+		}
+	}
+}
+
+func TestSetAt(t *testing.T) {
+	f := New([]int{0, 1}, []int{2, 2})
+	f.Set([]int{1, 0}, 0.7)
+	if f.Values[2] != 0.7 { // (1,0), last variable fastest
+		t.Fatalf("Set placed 0.7 wrong: %v", f.Values)
 	}
 }
 
@@ -31,24 +53,6 @@ func TestDuplicateVarPanics(t *testing.T) {
 	New([]int{1, 1}, []int{2, 2})
 }
 
-func TestIndexAssignmentRoundTrip(t *testing.T) {
-	f := New([]int{0, 1, 2}, []int{2, 3, 4})
-	for idx := 0; idx < f.Size(); idx++ {
-		a := f.Assignment(idx)
-		if f.Index(a) != idx {
-			t.Fatalf("round-trip failed at %d: %v", idx, a)
-		}
-	}
-}
-
-func TestSetAt(t *testing.T) {
-	f := New([]int{0, 1}, []int{2, 2})
-	f.Set([]int{1, 0}, 0.7)
-	if f.At([]int{1, 0}) != 0.7 {
-		t.Fatal("Set/At mismatch")
-	}
-}
-
 func TestProductDisjointScopes(t *testing.T) {
 	a := New([]int{0}, []int{2})
 	a.Values = []float64{0.4, 0.6}
@@ -58,10 +62,14 @@ func TestProductDisjointScopes(t *testing.T) {
 	if len(p.Vars) != 2 {
 		t.Fatalf("product scope %v", p.Vars)
 	}
-	if math.Abs(p.At([]int{0, 1})-0.4*0.7) > 1e-12 {
+	if math.Abs(p.Values[1]-0.4*0.7) > 1e-12 { // (0,1)
 		t.Fatalf("product value wrong: %v", p.Values)
 	}
-	if math.Abs(p.Sum()-1) > 1e-12 {
+	sum := 0.0
+	for _, v := range p.Values {
+		sum += v
+	}
+	if math.Abs(sum-1) > 1e-12 {
 		t.Fatal("product of two distributions should sum to 1")
 	}
 }
@@ -106,19 +114,19 @@ func TestProductCardinalityClash(t *testing.T) {
 func TestSumOut(t *testing.T) {
 	f := New([]int{0, 1}, []int{2, 2})
 	f.Values = []float64{1, 2, 3, 4}
-	g := f.SumOut(1)
+	g := SumProduct([]*Factor{f}, 1)
 	if len(g.Vars) != 1 || g.Vars[0] != 0 {
-		t.Fatalf("SumOut scope %v", g.Vars)
+		t.Fatalf("sum-out scope %v", g.Vars)
 	}
 	if g.Values[0] != 3 || g.Values[1] != 7 {
-		t.Fatalf("SumOut values %v", g.Values)
+		t.Fatalf("sum-out values %v", g.Values)
 	}
 }
 
 func TestSumOutToScalar(t *testing.T) {
 	f := New([]int{5}, []int{3})
 	f.Values = []float64{1, 2, 3}
-	g := f.SumOut(5)
+	g := SumProduct([]*Factor{f}, 5)
 	if len(g.Vars) != 0 || g.Values[0] != 6 {
 		t.Fatalf("scalar sum-out = %+v", g)
 	}
@@ -130,7 +138,7 @@ func TestSumOutMissingPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	New([]int{0}, []int{2}).SumOut(9)
+	SumProduct([]*Factor{New([]int{0}, []int{2})}, 9)
 }
 
 func TestReduce(t *testing.T) {
@@ -175,48 +183,6 @@ func TestNormalize(t *testing.T) {
 	}
 }
 
-func TestMaxAssignment(t *testing.T) {
-	f := New([]int{0, 1}, []int{2, 2})
-	f.Values = []float64{0.1, 0.5, 0.3, 0.1}
-	a, v := f.MaxAssignment()
-	if v != 0.5 || a[0] != 0 || a[1] != 1 {
-		t.Fatalf("MaxAssignment = %v %g", a, v)
-	}
-}
-
-func TestUniformScalarClone(t *testing.T) {
-	u := Uniform([]int{0}, []int{3})
-	for _, v := range u.Values {
-		if v != 1 {
-			t.Fatal("Uniform should be all ones")
-		}
-	}
-	c := u.Clone()
-	c.Values[0] = 9
-	if u.Values[0] == 9 {
-		t.Fatal("clone aliases original")
-	}
-	if !u.Contains(0) || u.Contains(1) {
-		t.Fatal("Contains wrong")
-	}
-}
-
-func TestEqual(t *testing.T) {
-	a := New([]int{0}, []int{2})
-	a.Values = []float64{0.5, 0.5}
-	b := a.Clone()
-	if !a.Equal(b, 0) {
-		t.Fatal("clones should be equal")
-	}
-	b.Values[0] = 0.6
-	if a.Equal(b, 0.01) {
-		t.Fatal("should differ beyond tol")
-	}
-	if !a.Equal(b, 0.2) {
-		t.Fatal("should match within tol")
-	}
-}
-
 // Property: product then sum-out in either order agrees: summing v out of
 // P(a)*P(v) equals P(a) * sum(P(v)).
 func TestProductSumOutCommutes(t *testing.T) {
@@ -235,7 +201,7 @@ func TestProductSumOutCommutes(t *testing.T) {
 		a.Values = vals(3)
 		b := New([]int{1}, []int{4})
 		b.Values = vals(4)
-		p := Product(a, b).SumOut(1)
+		p := SumProduct([]*Factor{a, b}, 1)
 		bsum := 0.0
 		for _, v := range b.Values {
 			bsum += v
@@ -265,7 +231,7 @@ func TestReduceConsistencyProperty(t *testing.T) {
 		for v := 0; v < 3; v++ {
 			red := fac.Reduce(1, v)
 			total := red.Values[0] + red.Values[1]
-			direct := fac.At([]int{0, v}) + fac.At([]int{1, v})
+			direct := fac.Values[v] + fac.Values[3+v] // (0,v) + (1,v)
 			if math.Abs(total-direct) > 1e-9 {
 				return false
 			}
@@ -467,8 +433,9 @@ func randomScope(rng *rand.Rand, pool []int) []int {
 
 // TestKernelsMatchReferenceProperty: on seeded random factors (scopes of
 // 0–5 variables, cardinalities 1–4, overlapping and disjoint scopes, a
-// quarter of the entries zero) Product, SumOut, Reduce and SumProduct
-// return exactly the bits of the decode-based reference kernels.
+// quarter of the entries zero) Product, Reduce and SumProduct, over one
+// operand and over several, return exactly the bits of the decode-based
+// reference kernels.
 func TestKernelsMatchReferenceProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	var scalarSums, scalarReduces, disjoint, overlapping, fused int
@@ -495,8 +462,8 @@ func TestKernelsMatchReferenceProperty(t *testing.T) {
 			t.Fatalf("trial %d: Product(%v, %v) = %v, want %v", trial, f.Vars, g.Vars, got.Values, want.Values)
 		}
 		for _, v := range f.Vars {
-			if got, want := f.SumOut(v), ReferenceSumOut(f, v); !sameBits(got, want) {
-				t.Fatalf("trial %d: SumOut(%v, %d) = %v, want %v", trial, f.Vars, v, got.Values, want.Values)
+			if got, want := SumProduct([]*Factor{f}, v), ReferenceSumOut(f, v); !sameBits(got, want) {
+				t.Fatalf("trial %d: SumProduct({%v}, %d) = %v, want %v", trial, f.Vars, v, got.Values, want.Values)
 			}
 			if len(f.Vars) == 1 {
 				scalarSums++

@@ -1,6 +1,6 @@
 // Package faulty is the deterministic chaos layer under the distributed
 // learning/monitoring transports: seed-driven fault injection for
-// net.Conn/net.Listener plus the exponential-backoff-with-jitter policy the
+// dialed net.Conns plus the exponential-backoff-with-jitter policy the
 // retry paths share.
 //
 // The paper's decentralized parameter-learning scheme (Section 4.3, Fig. 5)

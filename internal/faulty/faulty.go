@@ -120,9 +120,6 @@ func NewInjector(cfg Config) (*Injector, error) {
 	return &Injector{cfg: cfg.withDefaults()}, nil
 }
 
-// Config returns the (default-filled) configuration.
-func (in *Injector) Config() Config { return in.cfg }
-
 // Plan returns the fault plan for the connection identified by key on the
 // given retry attempt. It is a pure function of (Seed, key, attempt): the
 // same identifiers always yield the same plan, independent of goroutine
@@ -187,47 +184,4 @@ func (in *Injector) Dial(network, addr string, key, attempt uint64, timeout time
 		return nil, err
 	}
 	return Wrap(c, p), nil
-}
-
-// Listener wraps a net.Listener so every accepted connection draws a plan
-// keyed by its accept sequence number. Accept-side keys depend on arrival
-// order, so listener-side injection is for stress/fuzz-style tests; the
-// deterministic replay paths key plans on the dial side by logical
-// operation identity instead.
-type Listener struct {
-	net.Listener
-	inj *Injector
-	seq uint64
-	mu  chan struct{} // 1-token semaphore guarding seq
-}
-
-// WrapListener wraps l with accept-side fault injection.
-func (in *Injector) WrapListener(l net.Listener) *Listener {
-	fl := &Listener{Listener: l, inj: in, mu: make(chan struct{}, 1)}
-	fl.mu <- struct{}{}
-	return fl
-}
-
-// Accept accepts the next connection and applies its fault plan. Dropped
-// connections are closed immediately and the next one is accepted — the
-// dialer observes a reset, exactly as with a crashing peer.
-func (fl *Listener) Accept() (net.Conn, error) {
-	for {
-		c, err := fl.Listener.Accept()
-		if err != nil {
-			return nil, err
-		}
-		<-fl.mu
-		key := fl.seq
-		fl.seq++
-		fl.mu <- struct{}{}
-		p := fl.inj.Plan(key, 0)
-		if p.Drop {
-			fConns.Inc()
-			fDrops.Inc()
-			c.Close()
-			continue
-		}
-		return Wrap(c, p), nil
-	}
 }

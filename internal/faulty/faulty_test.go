@@ -27,11 +27,12 @@ func TestConfigValidate(t *testing.T) {
 }
 
 func TestPlanIsDeterministic(t *testing.T) {
-	in, err := NewInjector(Config{Seed: 42, Drop: 0.2, Delay: 0.2, Truncate: 0.2, Corrupt: 0.2, Stall: 0.2})
+	cfg := Config{Seed: 42, Drop: 0.2, Delay: 0.2, Truncate: 0.2, Corrupt: 0.2, Stall: 0.2}
+	in, err := NewInjector(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	in2, _ := NewInjector(in.Config())
+	in2, _ := NewInjector(cfg)
 	for key := uint64(0); key < 200; key++ {
 		for attempt := uint64(0); attempt < 3; attempt++ {
 			a := in.Plan(key, attempt)
@@ -213,36 +214,13 @@ func TestDelayDelaysFirstIO(t *testing.T) {
 	fc.Close()
 }
 
-func TestDialDropAndListenerDrop(t *testing.T) {
+func TestDialDrop(t *testing.T) {
 	in, err := NewInjector(Config{Seed: 3, Drop: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := in.Dial("tcp", "127.0.0.1:1", 0, 0, time.Second); err == nil {
 		t.Fatal("drop-everything injector allowed a dial")
-	}
-
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fl := in.WrapListener(l)
-	defer fl.Close()
-	go func() {
-		// The listener drops every accepted conn; dialers see resets.
-		for i := 0; i < 3; i++ {
-			c, err := net.Dial("tcp", l.Addr().String())
-			if err == nil {
-				c.SetReadDeadline(time.Now().Add(time.Second))
-				c.Read(make([]byte, 1)) // observe the reset/EOF
-				c.Close()
-			}
-		}
-		fl.Close()
-	}()
-	if c, err := fl.Accept(); err == nil {
-		c.Close()
-		t.Fatal("drop-everything listener accepted a connection")
 	}
 }
 

@@ -186,14 +186,6 @@ func (s *Server) snapshot() (*core.Model, int, uint64) {
 	return s.model, s.gen, s.hash
 }
 
-// Generation returns the gateway's model generation (0 before the first
-// SetModel; incremented on every swap).
-func (s *Server) Generation() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.gen
-}
-
 // BatchExecutions reports how many underlying PosteriorBatch executions
 // the gateway has run — with coalescing and caching, strictly fewer than
 // the query requests served.

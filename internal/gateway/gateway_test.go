@@ -138,7 +138,7 @@ func TestGatewayGenerationSwapInvalidates(t *testing.T) {
 	}
 
 	s.SetModel(testModel(t)) // forced generation swap
-	if g := s.Generation(); g != 2 {
+	if _, g, _ := s.snapshot(); g != 2 {
 		t.Fatalf("generation after swap = %d, want 2", g)
 	}
 	w := post(t, h, "/v1/query/posterior", body, nil)

@@ -64,30 +64,6 @@ func (d *DAG) AddEdge(from, to int) error {
 	return nil
 }
 
-// RemoveEdge deletes the edge from→to if present; it reports whether an
-// edge was removed.
-func (d *DAG) RemoveEdge(from, to int) bool {
-	d.check(from)
-	d.check(to)
-	removed := false
-	d.children[from] = removeInt(d.children[from], to, &removed)
-	if removed {
-		var dummy bool
-		d.parents[to] = removeInt(d.parents[to], from, &dummy)
-	}
-	return removed
-}
-
-func removeInt(xs []int, v int, removed *bool) []int {
-	for i, x := range xs {
-		if x == v {
-			*removed = true
-			return append(xs[:i], xs[i+1:]...)
-		}
-	}
-	return xs
-}
-
 // Parents returns a copy of the parent set of node v, sorted ascending.
 func (d *DAG) Parents(v int) []int {
 	d.check(v)
@@ -95,20 +71,6 @@ func (d *DAG) Parents(v int) []int {
 	sort.Ints(out)
 	return out
 }
-
-// Children returns a copy of the child set of node v, sorted ascending.
-func (d *DAG) Children(v int) []int {
-	d.check(v)
-	out := append([]int(nil), d.children[v]...)
-	sort.Ints(out)
-	return out
-}
-
-// InDegree returns the number of parents of v.
-func (d *DAG) InDegree(v int) int { d.check(v); return len(d.parents[v]) }
-
-// OutDegree returns the number of children of v.
-func (d *DAG) OutDegree(v int) int { d.check(v); return len(d.children[v]) }
 
 // EdgeCount returns the total number of edges.
 func (d *DAG) EdgeCount() int {
@@ -130,16 +92,6 @@ func (d *DAG) Edges() [][2]int {
 		}
 	}
 	return out
-}
-
-// Clone returns a deep copy.
-func (d *DAG) Clone() *DAG {
-	c := NewDAG(d.N())
-	for v := range d.parents {
-		c.parents[v] = append([]int(nil), d.parents[v]...)
-		c.children[v] = append([]int(nil), d.children[v]...)
-	}
-	return c
 }
 
 func (d *DAG) check(v int) {
@@ -205,66 +157,4 @@ func (d *DAG) TopoSort() []int {
 		panic("graph: cycle detected in TopoSort")
 	}
 	return order
-}
-
-// Ancestors returns the set of ancestors of v (excluding v), sorted.
-func (d *DAG) Ancestors(v int) []int {
-	d.check(v)
-	seen := make([]bool, d.N())
-	stack := append([]int(nil), d.parents[v]...)
-	var out []int
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if seen[u] {
-			continue
-		}
-		seen[u] = true
-		out = append(out, u)
-		stack = append(stack, d.parents[u]...)
-	}
-	sort.Ints(out)
-	return out
-}
-
-// Descendants returns the set of descendants of v (excluding v), sorted.
-func (d *DAG) Descendants(v int) []int {
-	d.check(v)
-	seen := make([]bool, d.N())
-	stack := append([]int(nil), d.children[v]...)
-	var out []int
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if seen[u] {
-			continue
-		}
-		seen[u] = true
-		out = append(out, u)
-		stack = append(stack, d.children[u]...)
-	}
-	sort.Ints(out)
-	return out
-}
-
-// Roots returns all nodes with no parents, sorted.
-func (d *DAG) Roots() []int {
-	var out []int
-	for v := 0; v < d.N(); v++ {
-		if len(d.parents[v]) == 0 {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
-// Leaves returns all nodes with no children, sorted.
-func (d *DAG) Leaves() []int {
-	var out []int
-	for v := 0; v < d.N(); v++ {
-		if len(d.children[v]) == 0 {
-			out = append(out, v)
-		}
-	}
-	return out
 }

@@ -52,19 +52,6 @@ func TestCycleRejected(t *testing.T) {
 	}
 }
 
-func TestRemoveEdge(t *testing.T) {
-	d := NewDAG(2)
-	mustEdge(t, d, 0, 1)
-	if !d.RemoveEdge(0, 1) {
-		t.Fatal("RemoveEdge should report true")
-	}
-	if d.HasEdge(0, 1) || d.RemoveEdge(0, 1) {
-		t.Fatal("edge should be gone")
-	}
-	// Removal allows re-adding in the opposite direction.
-	mustEdge(t, d, 1, 0)
-}
-
 func TestParentsChildrenSorted(t *testing.T) {
 	d := NewDAG(4)
 	mustEdge(t, d, 2, 3)
@@ -73,9 +60,6 @@ func TestParentsChildrenSorted(t *testing.T) {
 	ps := d.Parents(3)
 	if len(ps) != 3 || ps[0] != 0 || ps[1] != 1 || ps[2] != 2 {
 		t.Fatalf("Parents = %v", ps)
-	}
-	if d.InDegree(3) != 3 || d.OutDegree(0) != 1 {
-		t.Fatal("degree wrong")
 	}
 }
 
@@ -113,48 +97,6 @@ func TestTopoSortDeterministic(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatal("TopoSort not deterministic")
 		}
-	}
-}
-
-func TestAncestorsDescendants(t *testing.T) {
-	d := NewDAG(5)
-	mustEdge(t, d, 0, 1)
-	mustEdge(t, d, 1, 2)
-	mustEdge(t, d, 3, 2)
-	anc := d.Ancestors(2)
-	if len(anc) != 3 || anc[0] != 0 || anc[1] != 1 || anc[2] != 3 {
-		t.Fatalf("Ancestors(2) = %v", anc)
-	}
-	desc := d.Descendants(0)
-	if len(desc) != 2 || desc[0] != 1 || desc[1] != 2 {
-		t.Fatalf("Descendants(0) = %v", desc)
-	}
-	if len(d.Ancestors(4)) != 0 || len(d.Descendants(4)) != 0 {
-		t.Fatal("isolated node should have no relatives")
-	}
-}
-
-func TestRootsLeaves(t *testing.T) {
-	d := NewDAG(4)
-	mustEdge(t, d, 0, 1)
-	mustEdge(t, d, 1, 2)
-	roots := d.Roots()
-	if len(roots) != 2 || roots[0] != 0 || roots[1] != 3 {
-		t.Fatalf("Roots = %v", roots)
-	}
-	leaves := d.Leaves()
-	if len(leaves) != 2 || leaves[0] != 2 || leaves[1] != 3 {
-		t.Fatalf("Leaves = %v", leaves)
-	}
-}
-
-func TestClone(t *testing.T) {
-	d := NewDAG(3)
-	mustEdge(t, d, 0, 1)
-	c := d.Clone()
-	mustEdge(t, c, 1, 2)
-	if d.HasEdge(1, 2) {
-		t.Fatal("clone mutation leaked into original")
 	}
 }
 
@@ -226,8 +168,8 @@ func TestUndirectedBasics(t *testing.T) {
 	if !g.HasEdge(1, 0) {
 		t.Fatal("undirected edge must be symmetric")
 	}
-	if g.Degree(0) != 1 || g.Degree(2) != 0 {
-		t.Fatal("degree wrong")
+	if len(g.Neighbors(2)) != 0 {
+		t.Fatal("self-loop must not make a neighbour")
 	}
 	nb := g.Neighbors(0)
 	if len(nb) != 1 || nb[0] != 1 {

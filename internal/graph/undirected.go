@@ -32,12 +32,6 @@ func (g *Undirected) AddEdge(a, b int) {
 // HasEdge reports whether a and b are adjacent.
 func (g *Undirected) HasEdge(a, b int) bool { return g.adj[a][b] }
 
-// RemoveEdge deletes the undirected edge between a and b if present.
-func (g *Undirected) RemoveEdge(a, b int) {
-	delete(g.adj[a], b)
-	delete(g.adj[b], a)
-}
-
 // Neighbors returns the sorted neighbor list of v.
 func (g *Undirected) Neighbors(v int) []int {
 	out := make([]int, 0, len(g.adj[v]))
@@ -47,9 +41,6 @@ func (g *Undirected) Neighbors(v int) []int {
 	sort.Ints(out)
 	return out
 }
-
-// Degree returns the number of neighbors of v.
-func (g *Undirected) Degree(v int) int { return len(g.adj[v]) }
 
 // Clone returns a deep copy.
 func (g *Undirected) Clone() *Undirected {

@@ -23,7 +23,8 @@ func continuousGenerations(tb testing.TB, n int) []*core.Model {
 	}
 	models := make([]*core.Model, n)
 	for g := range models {
-		window := data.Head(200 * (g + 2)).Tail(400)
+		window := data.Head(200 * (g + 2))
+		window.Rows = window.Rows[200*g:]
 		if models[g], err = core.BuildKERT(core.KERTConfig{Workflow: sys.Workflow}, window); err != nil {
 			tb.Fatal(err)
 		}

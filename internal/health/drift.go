@@ -208,9 +208,6 @@ func (d *Detector) PHStat() float64 {
 // FiredBy reports which tests were firing at the alarm transition.
 func (d *Detector) FiredBy() (cusum, ph bool) { return d.cusum, d.ph }
 
-// Reference returns the calibrated (μ₀, σ₀); zeros during warmup.
-func (d *Detector) Reference() (mu, sigma float64) { return d.mu0, d.sigma0 }
-
 // Reset returns the detector to a fresh warmup — called when a new model is
 // deployed, since scores under different models are not comparable.
 func (d *Detector) Reset() {

@@ -90,8 +90,8 @@ func TestDetectorConstantWarmup(t *testing.T) {
 	if d.State() != StateOK {
 		t.Fatalf("state %v after warmup, want ok", d.State())
 	}
-	if _, sigma := d.Reference(); sigma <= 0 {
-		t.Fatalf("σ₀ = %g, want positive floor", sigma)
+	if d.sigma0 <= 0 {
+		t.Fatalf("σ₀ = %g, want positive floor", d.sigma0)
 	}
 	fired := false
 	for i := 0; i < 50 && !fired; i++ {

@@ -473,13 +473,6 @@ func (m *Monitor) ConsumeAlarm() bool {
 	return fired
 }
 
-// Drifting reports whether any detector is currently in StateDrift.
-func (m *Monitor) Drifting() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.driftingLocked()
-}
-
 func (m *Monitor) driftingLocked() bool {
 	if m.detTotal.State() == StateDrift {
 		return true

@@ -63,9 +63,6 @@ func NewScorer(m *core.Model) (*Scorer, error) {
 	}, nil
 }
 
-// NumNodes returns the node count of the scored model.
-func (s *Scorer) NumNodes() int { return len(s.names) }
-
 // Names returns node names in id order.
 func (s *Scorer) Names() []string { return s.names }
 

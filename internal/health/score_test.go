@@ -43,7 +43,7 @@ func TestScoreRowMatchesLog10Likelihood(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: NewScorer: %v", mt, err)
 		}
-		perNode := make([]float64, s.NumNodes())
+		perNode := make([]float64, len(s.Names()))
 		sum := 0.0
 		for _, row := range rows {
 			total, err := s.ScoreRow(row, perNode, nil)
@@ -81,7 +81,7 @@ func TestScoreRowClamping(t *testing.T) {
 	}
 	row := append([]float64(nil), rows[0]...)
 	row[m.DNode] = 1e9 // astronomically far from f(X): density underflows
-	perNode := make([]float64, s.NumNodes())
+	perNode := make([]float64, len(s.Names()))
 	if _, err := s.ScoreRow(row, perNode, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -101,12 +101,12 @@ func TestPITCalibratedOnHeldOutData(t *testing.T) {
 		t.Fatal(err)
 	}
 	const bins = 20
-	counts := make([][]int64, s.NumNodes())
+	counts := make([][]int64, len(s.Names()))
 	for i := range counts {
 		counts[i] = make([]int64, bins)
 	}
-	perNode := make([]float64, s.NumNodes())
-	pit := make([]float64, s.NumNodes())
+	perNode := make([]float64, len(s.Names()))
+	pit := make([]float64, len(s.Names()))
 	for _, row := range rows {
 		if _, err := s.ScoreRow(row, perNode, pit); err != nil {
 			t.Fatal(err)
@@ -140,8 +140,8 @@ func TestPITDiscreteMidRank(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	perNode := make([]float64, s.NumNodes())
-	pit := make([]float64, s.NumNodes())
+	perNode := make([]float64, len(s.Names()))
+	pit := make([]float64, len(s.Names()))
 	for _, row := range rows[:50] {
 		if _, err := s.ScoreRow(row, perNode, pit); err != nil {
 			t.Fatal(err)

@@ -165,26 +165,6 @@ func TestPosteriorImpossibleEvidence(t *testing.T) {
 	}
 }
 
-func TestJointProbability(t *testing.T) {
-	n := sprinkler(t)
-	// P(rain=0) = 0.8 via elimination of everything else.
-	p, err := JointProbability(n, DiscreteEvidence{0: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(p-0.8) > 1e-9 {
-		t.Fatalf("P(rain=0) = %g", p)
-	}
-	// Full joint of one assignment.
-	p, err = JointProbability(n, DiscreteEvidence{0: 0, 1: 1, 2: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(p-0.8*0.4*0.9) > 1e-9 {
-		t.Fatalf("joint = %g, want %g", p, 0.8*0.4*0.9)
-	}
-}
-
 func TestPosteriorRejectsContinuous(t *testing.T) {
 	n := bn.NewNetwork()
 	a, _ := n.AddContinuousNode("a")
@@ -374,78 +354,34 @@ func TestWeightedSamplesStats(t *testing.T) {
 	}
 }
 
-func TestWeightedSamplesMixture(t *testing.T) {
-	// Two tight clusters at 0 and 10.
-	var vals, wts []float64
-	for i := 0; i < 50; i++ {
-		vals = append(vals, 0, 10)
-		wts = append(wts, 0.01, 0.01)
-	}
-	ws := &WeightedSamples{Values: vals, Weights: wts}
-	m := ws.Mixture()
-	if math.Abs(m.Mean()-5) > 1e-9 {
-		t.Fatalf("mixture mean %g", m.Mean())
-	}
-	if m.PDF(0) < m.PDF(5) {
-		t.Fatal("KDE should peak at sample clusters")
-	}
-}
-
-// Property: VE posterior equals brute-force enumeration on random 4-node
-// binary networks.
+// Property: VE posteriors equal brute-force enumeration for every
+// non-evidence variable of random networks: 3–6 variables of cardinality
+// 2–3, random forward edges, and zero, one or two evidence variables.
 func TestVEMatchesBruteForceProperty(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := stats.NewRNG(seed)
-		n := bn.NewNetwork()
-		ids := make([]int, 4)
-		for i := range ids {
-			node, _ := n.AddDiscreteNode(string(rune('a'+i)), 2)
-			ids[i] = node.ID
-		}
-		// Random forward edges.
-		for i := 0; i < 4; i++ {
-			for j := i + 1; j < 4; j++ {
-				if rng.Bernoulli(0.5) {
-					_ = n.AddEdge(ids[i], ids[j])
-				}
+		nVars := 3 + rng.Intn(4)
+		n := randomDiscreteNet(t, nVars, 0.4, rng)
+		ev := DiscreteEvidence{}
+		for _, p := range []float64{0.6, 0.3} {
+			if rng.Bernoulli(p) {
+				v := rng.Intn(nVars)
+				ev[v] = rng.Intn(n.Node(v).Card)
 			}
 		}
-		for _, id := range ids {
-			parents := n.Parents(id)
-			cards := make([]int, len(parents))
-			for k := range cards {
-				cards[k] = 2
+		for q := 0; q < nVars; q++ {
+			if _, isEv := ev[q]; isEv {
+				continue
 			}
-			tab := bn.NewTabular(2, cards)
-			for cfg := 0; cfg < tab.Rows(); cfg++ {
-				p := 0.05 + 0.9*rng.Float64()
-				if err := tab.SetRow(cfg, []float64{p, 1 - p}); err != nil {
+			got, err := Posterior(n, q, ev)
+			if err != nil {
+				return false
+			}
+			want := bruteForcePosterior(n, q, ev)
+			for s := range want {
+				if math.Abs(got.Values[s]-want[s]) > 1e-9 {
 					return false
 				}
-			}
-			if err := n.SetCPD(id, tab); err != nil {
-				return false
-			}
-		}
-		ev := DiscreteEvidence{}
-		if rng.Bernoulli(0.7) {
-			ev[3] = rng.Intn(2)
-		}
-		if rng.Bernoulli(0.3) {
-			ev[1] = rng.Intn(2)
-		}
-		query := 0
-		if _, bad := ev[query]; bad {
-			return true
-		}
-		got, err := Posterior(n, query, ev)
-		if err != nil {
-			return false
-		}
-		want := bruteForcePosterior(n, query, ev)
-		for s := range want {
-			if math.Abs(got.Values[s]-want[s]) > 1e-9 {
-				return false
 			}
 		}
 		return true
@@ -453,4 +389,51 @@ func TestVEMatchesBruteForceProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// randomDiscreteNet builds a random discrete DAG of cardinality-2 or -3
+// variables: every pair i<j is an edge with probability pEdge, and CPT
+// entries are bounded away from zero.
+func randomDiscreteNet(t *testing.T, nNodes int, pEdge float64, rng *stats.RNG) *bn.Network {
+	t.Helper()
+	n := bn.NewNetwork()
+	cards := make([]int, nNodes)
+	for i := 0; i < nNodes; i++ {
+		cards[i] = 2 + rng.Intn(2)
+		if _, err := n.AddDiscreteNode(string(rune('a'+i)), cards[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < nNodes; i++ {
+		for j := i + 1; j < nNodes; j++ {
+			if rng.Float64() < pEdge {
+				if err := n.AddEdge(i, j); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	for id := 0; id < nNodes; id++ {
+		parentCards := make([]int, 0)
+		for _, p := range n.Parents(id) {
+			parentCards = append(parentCards, cards[p])
+		}
+		tab := bn.NewTabular(cards[id], parentCards)
+		for cfg := 0; cfg < tab.Rows(); cfg++ {
+			row := make([]float64, cards[id])
+			for s := range row {
+				row[s] = 0.05 + rng.Float64()
+			}
+			if err := tab.SetRow(cfg, row); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := n.SetCPD(id, tab); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := n.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	return n
 }

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"kertbn/internal/bn"
-	"kertbn/internal/factor"
 	"kertbn/internal/obs"
 	"kertbn/internal/pool"
 	"kertbn/internal/stats"
@@ -18,9 +17,6 @@ var (
 	lwParQueries = obs.C("infer.lw.par.queries")
 	lwParSeconds = obs.H("infer.lw.par.seconds")
 	lwParWorkers = obs.HCount("infer.lw.par.workers")
-	gibbsParRuns = obs.C("infer.gibbs.par.queries")
-	gibbsParSec  = obs.H("infer.gibbs.par.seconds")
-	gibbsChains  = obs.HCount("infer.gibbs.par.chains")
 )
 
 // lwShardSize is the fixed number of samples per shard. Sharding is a
@@ -144,13 +140,6 @@ func CompileQueryPlan(n *bn.Network, query int, evNodes []int) (*QueryPlan, erro
 	}
 	return p, nil
 }
-
-// EvidenceNodes returns the sorted clamped node ids the plan was compiled
-// for (the query shape).
-func (p *QueryPlan) EvidenceNodes() []int { return append([]int(nil), p.evNodes...) }
-
-// Query returns the plan's query node id.
-func (p *QueryPlan) Query() int { return p.query }
 
 // evValues spreads an evidence map into a node-indexed value vector,
 // erroring unless the map's keys are exactly the plan's evidence shape.
@@ -385,42 +374,4 @@ func LikelihoodWeightingParallel(ctx context.Context, n *bn.Network, query int, 
 		return nil, err
 	}
 	return plan.Parallel(ctx, ev, nSamples, workers, rng)
-}
-
-// GibbsParallel fans opts.Chains independent Gibbs chains out across up to
-// workers goroutines over one shared setup. Chain c draws from rng.Split(c)
-// and contributes ceil(Samples/Chains) collected sweeps after its own
-// burn-in; visit counts are summed in chain order. Output therefore depends
-// only on (rng state, opts), never on the worker count. A nil rng defaults
-// to seed 1.
-func GibbsParallel(ctx context.Context, n *bn.Network, query int, ev DiscreteEvidence, opts GibbsOptions, workers int, rng *stats.RNG) (*factor.Factor, error) {
-	start := time.Now()
-	defer func() { gibbsParSec.Observe(time.Since(start).Seconds()) }()
-	gibbsParRuns.Inc()
-	opts.fillDefaults()
-	gibbsChains.Observe(float64(opts.Chains))
-	setup, err := newGibbsSetup(n, query, ev)
-	if err != nil {
-		return nil, err
-	}
-	if rng == nil {
-		rng = stats.NewRNG(1)
-	}
-	chains := opts.Chains
-	perChain := (opts.Samples + chains - 1) / chains
-	chainCounts := make([][]float64, chains)
-	err = pool.ForEach(ctx, "infer.gibbs", chains, workers, func(c int) error {
-		chainCounts[c] = setup.chain(opts.Burnin, perChain, opts.Thin, rng.Split(uint64(c)))
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	counts := make([]float64, setup.cards[query])
-	for _, cc := range chainCounts {
-		for i, v := range cc {
-			counts[i] += v
-		}
-	}
-	return countsToFactor(query, counts)
 }

@@ -116,56 +116,3 @@ func TestLWParallelCancellation(t *testing.T) {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}
 }
-
-func TestGibbsParallelDeterministicAcrossWorkers(t *testing.T) {
-	n := sprinkler(t)
-	opts := GibbsOptions{Burnin: 100, Samples: 2000, Thin: 1, Chains: 4}
-	ev := DiscreteEvidence{2: 1}
-	ref, err := GibbsParallel(context.Background(), n, 0, ev, opts, 1, stats.NewRNG(9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 4} {
-		got, err := GibbsParallel(context.Background(), n, 0, ev, opts, workers, stats.NewRNG(9))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range ref.Values {
-			if got.Values[i] != ref.Values[i] {
-				t.Fatalf("workers=%d: factor %v vs %v at workers=1", workers, got.Values, ref.Values)
-			}
-		}
-	}
-}
-
-func TestGibbsParallelMatchesExact(t *testing.T) {
-	n := sprinkler(t)
-	ev := DiscreteEvidence{2: 1}
-	opts := GibbsOptions{Burnin: 2000, Samples: 60000, Thin: 3, Chains: 4}
-	approx, err := GibbsParallel(context.Background(), n, 0, ev, opts, 4, stats.NewRNG(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	exact, err := Posterior(n, 0, ev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for s := range exact.Values {
-		if math.Abs(approx.Values[s]-exact.Values[s]) > 0.04 {
-			t.Fatalf("GibbsParallel %v vs exact %v", approx.Values, exact.Values)
-		}
-	}
-}
-
-func TestGibbsParallelValidationAndCancel(t *testing.T) {
-	n := sprinkler(t)
-	if _, err := GibbsParallel(context.Background(), n, 99, nil, DefaultGibbsOptions(), 2, nil); err == nil {
-		t.Fatal("bad query should error")
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	_, err := GibbsParallel(ctx, n, 0, nil, DefaultGibbsOptions(), 2, stats.NewRNG(1))
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("got %v, want context.Canceled", err)
-	}
-}

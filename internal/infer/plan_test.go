@@ -21,7 +21,7 @@ func planTestNet(t testing.TB) *bn.Network {
 	}
 	mustEdge := func(from, to string) {
 		t.Helper()
-		if err := n.AddEdgeByName(from, to); err != nil {
+		if err := n.AddEdge(n.NodeByName(from).ID, n.NodeByName(to).ID); err != nil {
 			t.Fatalf("edge %s->%s: %v", from, to, err)
 		}
 	}

@@ -88,37 +88,6 @@ func Posterior(n *bn.Network, query int, ev DiscreteEvidence) (*factor.Factor, e
 	return result, nil
 }
 
-// JointProbability returns P(evidence) for a fully discrete network by
-// eliminating all non-evidence variables.
-func JointProbability(n *bn.Network, ev DiscreteEvidence) (float64, error) {
-	factors, err := networkFactors(n)
-	if err != nil {
-		return 0, err
-	}
-	for v, val := range ev {
-		for i, f := range factors {
-			if f.Contains(v) {
-				factors[i] = f.Reduce(v, val)
-			}
-		}
-	}
-	var elim []int
-	for v := 0; v < n.N(); v++ {
-		if _, isEv := ev[v]; !isEv {
-			elim = append(elim, v)
-		}
-	}
-	order := graph.MinFillOrdering(graph.Moralize(n.DAG()), elim)
-	for _, v := range order {
-		factors = eliminate(factors, v)
-	}
-	p := 1.0
-	for _, f := range factors {
-		p *= f.Sum()
-	}
-	return p, nil
-}
-
 // networkFactors renders every node's tabular CPD as a factor.
 func networkFactors(n *bn.Network) ([]*factor.Factor, error) {
 	out := make([]*factor.Factor, 0, n.N())

@@ -2,7 +2,6 @@ package learn
 
 import (
 	"fmt"
-	"math"
 
 	"kertbn/internal/graph"
 	"kertbn/internal/stats"
@@ -123,19 +122,6 @@ func K2RandomRestarts(specs []VarSpec, rows [][]float64, scorer Scorer, opts K2O
 	return best, nil
 }
 
-// BestOrderingScore is a helper that scores a fixed DAG under a scorer (sum
-// of family scores); useful in tests and ablations.
-func ScoreDAG(dag *graph.DAG, rows [][]float64, scorer Scorer) (float64, Cost) {
-	total := 0.0
-	var cost Cost
-	for v := 0; v < dag.N(); v++ {
-		s, c := scorer.Score(rows, v, dag.Parents(v))
-		total += s
-		cost.Add(c)
-	}
-	return total, cost
-}
-
 func containsInt(xs []int, v int) bool {
 	for _, x := range xs {
 		if x == v {
@@ -143,12 +129,4 @@ func containsInt(xs []int, v int) bool {
 		}
 	}
 	return false
-}
-
-// NegInfIfNaN maps NaN scores to -Inf so greedy comparison stays sane.
-func NegInfIfNaN(s float64) float64 {
-	if math.IsNaN(s) {
-		return math.Inf(-1)
-	}
-	return s
 }

@@ -18,19 +18,13 @@ type SequentialUpdater struct {
 	net    *bn.Network
 	counts [][]float64
 	skip   map[int]bool
-	seen   int
 }
 
-// NewSequentialUpdater wraps a fully discrete network whose tabular CPDs
-// are refreshed in place as observations arrive. alpha seeds every cell's
-// pseudo-count.
-func NewSequentialUpdater(net *bn.Network, alpha float64) (*SequentialUpdater, error) {
-	return NewSequentialUpdaterSkip(net, alpha, nil)
-}
-
-// NewSequentialUpdaterSkip is NewSequentialUpdater with a set of node ids
-// whose CPDs are left untouched — e.g. a KERT-BN's knowledge-given D node,
-// so update-vs-rebuild comparisons hold the model class fixed.
+// NewSequentialUpdaterSkip wraps a fully discrete network whose tabular
+// CPDs are refreshed in place as observations arrive. alpha seeds every
+// cell's pseudo-count. The CPDs of the nodes in skip are left untouched —
+// e.g. a KERT-BN's knowledge-given D node, so update-vs-rebuild
+// comparisons hold the model class fixed.
 func NewSequentialUpdaterSkip(net *bn.Network, alpha float64, skip map[int]bool) (*SequentialUpdater, error) {
 	if alpha <= 0 {
 		return nil, fmt.Errorf("learn: sequential updater needs alpha > 0")
@@ -88,7 +82,6 @@ func (u *SequentialUpdater) Observe(row []float64) error {
 			return err
 		}
 	}
-	u.seen++
 	return nil
 }
 
@@ -101,9 +94,3 @@ func (u *SequentialUpdater) ObserveBatch(rows [][]float64) error {
 	}
 	return nil
 }
-
-// Seen returns how many observations have been folded in.
-func (u *SequentialUpdater) Seen() int { return u.seen }
-
-// Network returns the wrapped network (CPTs always reflect all counts).
-func (u *SequentialUpdater) Network() *bn.Network { return u.net }

@@ -21,9 +21,15 @@ func seqNet(t *testing.T) *bn.Network {
 	return net
 }
 
+// rootObservations is how many rows node 0 (a root of seqNet, two states,
+// pseudo-count 1 each) has counted.
+func rootObservations(u *SequentialUpdater) float64 {
+	return u.counts[0][0] + u.counts[0][1] - 2
+}
+
 func TestSequentialUpdaterConverges(t *testing.T) {
 	net := seqNet(t)
-	u, err := NewSequentialUpdater(net, 1)
+	u, err := NewSequentialUpdaterSkip(net, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,8 +47,8 @@ func TestSequentialUpdaterConverges(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if u.Seen() != 5000 {
-		t.Fatalf("seen = %d", u.Seen())
+	if n := rootObservations(u); n != 5000 {
+		t.Fatalf("root counted %g observations, want 5000", n)
 	}
 	tb := net.Node(1).CPD.(*bn.Tabular)
 	if math.Abs(tb.Prob(1, []int{1})-0.9) > 0.03 {
@@ -54,7 +60,7 @@ func TestSequentialUpdaterStaleness(t *testing.T) {
 	// The Section-2 effect in miniature: after the environment flips, the
 	// accumulated counts hold the model back.
 	net := seqNet(t)
-	u, _ := NewSequentialUpdater(net, 1)
+	u, _ := NewSequentialUpdaterSkip(net, 1, nil)
 	// Phase 1: P(a=1) = 0.1 for 2000 observations.
 	for i := 0; i < 2000; i++ {
 		a := 0.0
@@ -85,10 +91,10 @@ func TestSequentialUpdaterStaleness(t *testing.T) {
 
 func TestSequentialUpdaterValidation(t *testing.T) {
 	net := seqNet(t)
-	if _, err := NewSequentialUpdater(net, 0); err == nil {
+	if _, err := NewSequentialUpdaterSkip(net, 0, nil); err == nil {
 		t.Fatal("alpha <= 0 should error")
 	}
-	u, _ := NewSequentialUpdater(net, 1)
+	u, _ := NewSequentialUpdaterSkip(net, 1, nil)
 	if err := u.Observe([]float64{0}); err == nil {
 		t.Fatal("short row should error")
 	}
@@ -102,25 +108,25 @@ func TestSequentialUpdaterValidation(t *testing.T) {
 	c := bn.NewNetwork()
 	a, _ := c.AddContinuousNode("a")
 	_ = c.SetCPD(a.ID, bn.NewLinearGaussian(0, nil, 1))
-	if _, err := NewSequentialUpdater(c, 1); err == nil {
+	if _, err := NewSequentialUpdaterSkip(c, 1, nil); err == nil {
 		t.Fatal("continuous network should error")
 	}
 	// Missing CPD rejected.
 	noCPD := seqNet(t).CloneStructure()
-	if _, err := NewSequentialUpdater(noCPD, 1); err == nil {
+	if _, err := NewSequentialUpdaterSkip(noCPD, 1, nil); err == nil {
 		t.Fatal("missing CPDs should error")
 	}
 }
 
 func TestSequentialUpdaterBatch(t *testing.T) {
 	net := seqNet(t)
-	u, _ := NewSequentialUpdater(net, 1)
+	u, _ := NewSequentialUpdaterSkip(net, 1, nil)
 	rows := [][]float64{{0, 0}, {1, 1}, {0, 1}}
 	if err := u.ObserveBatch(rows); err != nil {
 		t.Fatal(err)
 	}
-	if u.Seen() != 3 {
-		t.Fatalf("seen = %d", u.Seen())
+	if n := rootObservations(u); n != 3 {
+		t.Fatalf("root counted %g observations, want 3", n)
 	}
 	if err := u.ObserveBatch([][]float64{{0, 0}, {5, 0}}); err == nil {
 		t.Fatal("bad batch row should error")

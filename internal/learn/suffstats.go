@@ -108,28 +108,6 @@ func (t *TabularStats) RemoveRow(row []float64) error {
 	return nil
 }
 
-// Merge folds another accumulator over the same family shape into t
-// (decentralized agents shipping count deltas).
-func (t *TabularStats) Merge(o *TabularStats) error {
-	if len(o.Counts) != len(t.Counts) || o.Card != t.Card {
-		return fmt.Errorf("learn: TabularStats.Merge shape mismatch")
-	}
-	for i, c := range o.Counts {
-		t.Counts[i] += c
-	}
-	t.N += o.N
-	return nil
-}
-
-// Clone returns an independent deep copy.
-func (t *TabularStats) Clone() *TabularStats {
-	c := *t
-	c.Parents = append([]int(nil), t.Parents...)
-	c.ParentCard = append([]int(nil), t.ParentCard...)
-	c.Counts = append([]float64(nil), t.Counts...)
-	return &c
-}
-
 // FitTabularFromStats builds the CPT from accumulated counts — the
 // incremental twin of FitTabular, with cost O(table) instead of O(rows).
 func FitTabularFromStats(ts *TabularStats, opts Options) (*bn.Tabular, Cost, error) {
@@ -240,32 +218,6 @@ func (g *LGStats) RemoveRow(row []float64) error {
 		g.Yty = 0
 	}
 	return nil
-}
-
-// Merge folds another accumulator over the same family into g.
-func (g *LGStats) Merge(o *LGStats) error {
-	if o.P != g.P {
-		return fmt.Errorf("learn: LGStats.Merge arity mismatch %d vs %d", o.P, g.P)
-	}
-	for i, v := range o.XtX.Data {
-		g.XtX.Data[i] += v
-	}
-	for i, v := range o.Xty {
-		g.Xty[i] += v
-	}
-	g.Yty += o.Yty
-	g.N += o.N
-	return nil
-}
-
-// Clone returns an independent deep copy.
-func (g *LGStats) Clone() *LGStats {
-	c := *g
-	c.Parents = append([]int(nil), g.Parents...)
-	c.XtX = g.XtX.Clone()
-	c.Xty = append([]float64(nil), g.Xty...)
-	c.xrow = make([]float64, g.P)
-	return &c
 }
 
 // FitLinearGaussianFromStats solves the normal equations from accumulated

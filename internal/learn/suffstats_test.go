@@ -97,24 +97,6 @@ func TestTabularStatsEquivalence(t *testing.T) {
 		}
 	}
 
-	// Merge of shard counts equals one pass over the concatenation.
-	a, _ := NewTabularStats(0, card, parents, parentCard)
-	b, _ := NewTabularStats(0, card, parents, parentCard)
-	for i, r := range rows {
-		if i%2 == 0 {
-			a.AddRow(r)
-		} else {
-			b.AddRow(r)
-		}
-	}
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	for i := range a.Counts {
-		if a.Counts[i] != ts.Counts[i] {
-			t.Fatalf("merged count cell %d: %g != %g", i, a.Counts[i], ts.Counts[i])
-		}
-	}
 }
 
 // LGStats appends must reproduce FitLinearGaussian through the identical
@@ -186,30 +168,6 @@ func TestLGStatsWindowEquivalence(t *testing.T) {
 				t.Fatalf("step %d: sigma drift %g", i, d)
 			}
 		}
-	}
-	// Merge of shard moments matches one-pass accumulation exactly enough
-	// to stay inside the same budget.
-	a, b := NewLGStats(0, parents), NewLGStats(0, parents)
-	for i, r := range rows {
-		if i < len(rows)/2 {
-			a.AddRow(r)
-		} else {
-			b.AddRow(r)
-		}
-	}
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	merged, _, err := FitLinearGaussianFromStats(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, _, err := FitLinearGaussian(rows, 0, parents)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := math.Abs(merged.Intercept - ref.Intercept); d > 1e-9 {
-		t.Fatalf("merged intercept drift %g", d)
 	}
 }
 

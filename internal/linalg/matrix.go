@@ -21,31 +21,6 @@ func NewMatrix(r, c int) *Matrix {
 	return &Matrix{Rows: r, Cols: c, Data: make([]float64, r*c)}
 }
 
-// FromRows builds a matrix from row slices. All rows must have equal length.
-func FromRows(rows [][]float64) (*Matrix, error) {
-	if len(rows) == 0 {
-		return NewMatrix(0, 0), nil
-	}
-	c := len(rows[0])
-	m := NewMatrix(len(rows), c)
-	for i, row := range rows {
-		if len(row) != c {
-			return nil, fmt.Errorf("linalg: ragged rows: row 0 has %d cols, row %d has %d", c, i, len(row))
-		}
-		copy(m.Data[i*c:(i+1)*c], row)
-	}
-	return m, nil
-}
-
-// Identity returns the n×n identity matrix.
-func Identity(n int) *Matrix {
-	m := NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		m.Set(i, i, 1)
-	}
-	return m
-}
-
 // At returns element (i, j).
 func (m *Matrix) At(i, j int) float64 {
 	m.check(i, j)
@@ -84,15 +59,6 @@ func (m *Matrix) Row(i int) []float64 {
 	return out
 }
 
-// Col returns a copy of column j.
-func (m *Matrix) Col(j int) []float64 {
-	out := make([]float64, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		out[i] = m.Data[i*m.Cols+j]
-	}
-	return out
-}
-
 // T returns the transpose of m as a new matrix.
 func (m *Matrix) T() *Matrix {
 	t := NewMatrix(m.Cols, m.Rows)
@@ -126,43 +92,6 @@ func Mul(a, b *Matrix) (*Matrix, error) {
 	return out, nil
 }
 
-// MulVec returns the matrix-vector product m*v.
-func (m *Matrix) MulVec(v []float64) ([]float64, error) {
-	if m.Cols != len(v) {
-		return nil, fmt.Errorf("linalg: dimension mismatch %dx%d * vec(%d)", m.Rows, m.Cols, len(v))
-	}
-	out := make([]float64, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		s := 0.0
-		for j, rv := range row {
-			s += rv * v[j]
-		}
-		out[i] = s
-	}
-	return out, nil
-}
-
-// Scale multiplies every element by s in place and returns m.
-func (m *Matrix) Scale(s float64) *Matrix {
-	for i := range m.Data {
-		m.Data[i] *= s
-	}
-	return m
-}
-
-// AddMat returns a+b.
-func AddMat(a, b *Matrix) (*Matrix, error) {
-	if a.Rows != b.Rows || a.Cols != b.Cols {
-		return nil, fmt.Errorf("linalg: dimension mismatch %dx%d + %dx%d", a.Rows, a.Cols, b.Rows, b.Cols)
-	}
-	out := NewMatrix(a.Rows, a.Cols)
-	for i := range a.Data {
-		out.Data[i] = a.Data[i] + b.Data[i]
-	}
-	return out, nil
-}
-
 // SubMat returns a-b.
 func SubMat(a, b *Matrix) (*Matrix, error) {
 	if a.Rows != b.Rows || a.Cols != b.Cols {
@@ -184,21 +113,6 @@ func (m *Matrix) Submatrix(rows, cols []int) *Matrix {
 		}
 	}
 	return out
-}
-
-// IsSymmetric reports whether m is square and symmetric within tol.
-func (m *Matrix) IsSymmetric(tol float64) bool {
-	if m.Rows != m.Cols {
-		return false
-	}
-	for i := 0; i < m.Rows; i++ {
-		for j := i + 1; j < m.Cols; j++ {
-			if math.Abs(m.At(i, j)-m.At(j, i)) > tol {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // Symmetrize averages m with its transpose in place (m must be square).
@@ -338,20 +252,6 @@ func InverseSPD(a *Matrix) (*Matrix, error) {
 	}
 	inv.Symmetrize()
 	return inv, nil
-}
-
-// LogDetSPD returns log(det(A)) for symmetric positive-definite A,
-// computed stably from the Cholesky factor.
-func LogDetSPD(a *Matrix) (float64, error) {
-	l, err := Cholesky(a)
-	if err != nil {
-		return 0, err
-	}
-	s := 0.0
-	for i := 0; i < l.Rows; i++ {
-		s += math.Log(l.At(i, i))
-	}
-	return 2 * s, nil
 }
 
 // OLS solves the least-squares problem min ||X beta - y||² via the normal

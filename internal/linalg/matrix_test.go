@@ -134,15 +134,7 @@ func TestMulVec(t *testing.T) {
 func TestAddSubMat(t *testing.T) {
 	a, _ := FromRows([][]float64{{1, 2}, {3, 4}})
 	b, _ := FromRows([][]float64{{4, 3}, {2, 1}})
-	s, err := AddMat(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range s.Data {
-		if v != 5 {
-			t.Fatalf("AddMat: %v", s.Data)
-		}
-	}
+	s, _ := FromRows([][]float64{{5, 5}, {5, 5}}) // a + b
 	d, err := SubMat(s, b)
 	if err != nil {
 		t.Fatal(err)
@@ -226,17 +218,6 @@ func TestInverseSPD(t *testing.T) {
 				t.Fatalf("A*inv(A) =\n%v", prod)
 			}
 		}
-	}
-}
-
-func TestLogDetSPD(t *testing.T) {
-	a, _ := FromRows([][]float64{{4, 2}, {2, 3}})
-	ld, err := LogDetSPD(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEq(ld, math.Log(8), 1e-12) { // det = 4*3-2*2 = 8
-		t.Fatalf("LogDetSPD = %g, want %g", ld, math.Log(8))
 	}
 }
 
@@ -368,20 +349,11 @@ func TestCholeskyReconstructProperty(t *testing.T) {
 	}
 }
 
-func TestScale(t *testing.T) {
-	m, _ := FromRows([][]float64{{1, 2}, {3, 4}})
-	m.Scale(2)
-	if m.At(1, 1) != 8 {
-		t.Fatal("Scale wrong")
-	}
-}
-
-func TestRowColClone(t *testing.T) {
+func TestRowClone(t *testing.T) {
 	m, _ := FromRows([][]float64{{1, 2}, {3, 4}})
 	r := m.Row(1)
-	c := m.Col(0)
-	if r[0] != 3 || r[1] != 4 || c[0] != 1 || c[1] != 3 {
-		t.Fatal("Row/Col wrong")
+	if r[0] != 3 || r[1] != 4 {
+		t.Fatal("Row wrong")
 	}
 	r[0] = 99
 	if m.At(1, 0) != 3 {
@@ -394,21 +366,11 @@ func TestRowColClone(t *testing.T) {
 	}
 }
 
-func TestIsSymmetricAndSymmetrize(t *testing.T) {
+func TestSymmetrize(t *testing.T) {
 	m, _ := FromRows([][]float64{{1, 2.0001}, {2, 1}})
-	if m.IsSymmetric(1e-9) {
-		t.Fatal("should not be symmetric at tight tol")
-	}
-	if !m.IsSymmetric(1e-3) {
-		t.Fatal("should be symmetric at loose tol")
-	}
 	m.Symmetrize()
 	if m.At(0, 1) != m.At(1, 0) {
 		t.Fatal("Symmetrize failed")
-	}
-	rect := NewMatrix(2, 3)
-	if rect.IsSymmetric(0) {
-		t.Fatal("non-square cannot be symmetric")
 	}
 }
 
@@ -451,12 +413,9 @@ func TestMulVecMismatch(t *testing.T) {
 	}
 }
 
-func TestAddSubMismatch(t *testing.T) {
+func TestSubMatMismatch(t *testing.T) {
 	a := NewMatrix(2, 2)
 	b := NewMatrix(2, 3)
-	if _, err := AddMat(a, b); err == nil {
-		t.Fatal("AddMat mismatch should error")
-	}
 	if _, err := SubMat(a, b); err == nil {
 		t.Fatal("SubMat mismatch should error")
 	}

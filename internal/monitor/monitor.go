@@ -2,7 +2,6 @@ package monitor
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"sync"
 	"time"
@@ -19,7 +18,6 @@ var (
 	monMeasures  = obs.C("monitor.measurements")
 	monRows      = obs.C("monitor.rows_assembled")
 	monDropped   = obs.C("monitor.rows_dropped")
-	monDrained   = obs.C("monitor.rows_drained_incomplete")
 	monPending   = obs.G("monitor.pending_requests")
 	monFlushSize = obs.HCount("monitor.agent_flush_size")
 )
@@ -341,36 +339,4 @@ func (s *Server) WaitComplete(n int, timeout time.Duration) bool {
 		s.cond.Wait()
 	}
 	return true
-}
-
-// DrainIncomplete removes and returns the buffered incomplete rows that
-// carry at least minSeen measurements, with missing cells set to NaN —
-// the data-goes-missing situation Section 5.1's dComp (and the EM
-// fill-in learner) exists for. Rows are returned oldest-first.
-func (s *Server) DrainIncomplete(minSeen int) [][]float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ids := make([]int64, 0, len(s.partial))
-	for id, p := range s.partial {
-		if p.count >= minSeen {
-			ids = append(ids, id)
-		}
-	}
-	sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
-	out := make([][]float64, 0, len(ids))
-	for _, id := range ids {
-		p := s.partial[id]
-		row := make([]float64, s.numColumns)
-		for j := range row {
-			if p.seen[j] {
-				row[j] = p.values[j]
-			} else {
-				row[j] = math.NaN()
-			}
-		}
-		out = append(out, row)
-		delete(s.partial, id)
-	}
-	monDrained.Add(int64(len(out)))
-	return out
 }

@@ -1,7 +1,6 @@
 package monitor
 
 import (
-	"math"
 	"sync"
 	"testing"
 	"time"
@@ -233,36 +232,5 @@ func TestConcurrentAgents(t *testing.T) {
 	wg.Wait()
 	if col.count() != 400 {
 		t.Fatalf("assembled %d rows, want 400", col.count())
-	}
-}
-
-func TestDrainIncomplete(t *testing.T) {
-	srv, _ := NewServer(3, func([]float64) {})
-	// Two requests each missing column 1; one with only one measurement.
-	_ = srv.Send(Report{Batch: []Measurement{
-		{RequestID: 1, Column: 0, Value: 10},
-		{RequestID: 1, Column: 2, Value: 30},
-		{RequestID: 2, Column: 0, Value: 11},
-		{RequestID: 2, Column: 2, Value: 31},
-		{RequestID: 3, Column: 0, Value: 99},
-	}})
-	rows := srv.DrainIncomplete(2)
-	if len(rows) != 2 {
-		t.Fatalf("drained %d rows, want 2", len(rows))
-	}
-	if rows[0][0] != 10 || rows[0][2] != 30 {
-		t.Fatalf("row = %v", rows[0])
-	}
-	if !math.IsNaN(rows[0][1]) {
-		t.Fatal("missing cell must be NaN")
-	}
-	// Request 3 (1 measurement) stays buffered.
-	if srv.Pending() != 1 {
-		t.Fatalf("pending = %d, want 1", srv.Pending())
-	}
-	// Draining again with a lower bar picks it up.
-	rest := srv.DrainIncomplete(1)
-	if len(rest) != 1 || rest[0][0] != 99 {
-		t.Fatalf("rest = %v", rest)
 	}
 }

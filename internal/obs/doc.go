@@ -20,7 +20,7 @@
 //	sched.rebuild, sched.points_pushed, sched.window_fill
 //	monitor.batches, monitor.measurements, monitor.rows_assembled, ...
 //	decentral.learn, decentral.ship, decentral.node_learn.seconds, ...
-//	infer.query, infer.ve.*, infer.lw.*, infer.lw.par.*, infer.gibbs.par.*
+//	infer.query, infer.ve.*, infer.lw.*, infer.lw.par.*
 //	pool.<name>.calls / pool.<name>.workers / pool.<name>.shard.seconds
 //	core.batch.*, parallel.* (BENCH_parallel.json series)
 //	bench.* (per-system-size experiment series)

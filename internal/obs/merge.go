@@ -13,21 +13,6 @@ import (
 // fleet rollup applied exactly once per snapshot reproduces the sum of the
 // per-process registries bit-for-bit.
 
-// NewHistogram creates a standalone histogram (registered nowhere) with the
-// given bucket bounds. The bounds are copied; they must be strictly
-// ascending and free of NaNs or NewHistogram panics — rollup code decoding
-// bounds off the wire validates them first.
-func NewHistogram(bounds []float64) *Histogram {
-	for i, b := range bounds {
-		if math.IsNaN(b) || (i > 0 && bounds[i-1] >= b) {
-			panic(fmt.Sprintf("obs: histogram bounds must be strictly ascending and NaN-free (index %d)", i))
-		}
-	}
-	cp := make([]float64, len(bounds))
-	copy(cp, bounds)
-	return newHistogram(cp)
-}
-
 // Bounds returns a copy of the bucket bounds.
 func (h *Histogram) Bounds() []float64 {
 	cp := make([]float64, len(h.bounds))
@@ -49,24 +34,6 @@ func (h *Histogram) BucketCounts(dst []int64) []int64 {
 
 // Overflow returns the count of observations above the last bound.
 func (h *Histogram) Overflow() int64 { return h.overflow.Load() }
-
-// Merge folds every observation recorded in other into h. Both histograms
-// must share identical bucket bounds. Counts and sums add; min and max fold
-// through min/max, so Merge is commutative and associative on the bucket
-// counts exactly and on quantile reads up to float summation order in Sum.
-func (h *Histogram) Merge(other *Histogram) error {
-	if other == nil {
-		return nil
-	}
-	counts := other.BucketCounts(make([]int64, 0, len(other.counts)))
-	n := other.Count()
-	var mn, mx float64
-	if n > 0 {
-		mn = math.Float64frombits(other.minBits.Load())
-		mx = math.Float64frombits(other.maxBits.Load())
-	}
-	return h.MergeParts(other.bounds, counts, other.Overflow(), other.Sum(), mn, mx)
-}
 
 // MergeParts folds a shipped histogram increment into h: per-bucket count
 // increments (one per bound, same order), an overflow increment, a sum

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -64,7 +65,7 @@ func histStateEq(t *testing.T, a, b *Histogram, context string) {
 // min/max must match exactly and sum/quantiles within 1e-9.
 func TestHistogramMergeOfSplitsEqualsWhole(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	bounds := LatencyBuckets()
+	bounds := latencyBuckets
 	for trial := 0; trial < 20; trial++ {
 		samples := drawSamples(rng, bounds, 200+rng.Intn(400))
 		whole := NewHistogram(bounds)
@@ -93,7 +94,7 @@ func TestHistogramMergeOfSplitsEqualsWhole(t *testing.T) {
 // integer state; float sums within tolerance).
 func TestHistogramMergeCommutativeAssociative(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	bounds := CountBuckets()
+	bounds := countBuckets
 	for trial := 0; trial < 10; trial++ {
 		parts := make([]*Histogram, 3)
 		for i := range parts {
@@ -198,7 +199,7 @@ func TestGaugeDelta(t *testing.T) {
 // MergeParts reconstructs the source histogram state.
 func TestHistogramDeltaReassembles(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
-	bounds := LatencyBuckets()
+	bounds := latencyBuckets
 	src := NewHistogram(bounds)
 	rebuilt := NewHistogram(bounds)
 	var d HistogramDelta
@@ -216,4 +217,40 @@ func TestHistogramDeltaReassembles(t *testing.T) {
 		t.Fatal("idle take must report no change")
 	}
 	histStateEq(t, rebuilt, src, "delta-reassembly")
+}
+
+// Standalone histograms and whole-histogram merges: the tests fold one
+// histogram into another through MergeParts, as the rollup does.
+
+// NewHistogram creates a standalone histogram (registered nowhere) with the
+// given bucket bounds. The bounds are copied; they must be strictly
+// ascending and free of NaNs or NewHistogram panics — rollup code decoding
+// bounds off the wire validates them first.
+func NewHistogram(bounds []float64) *Histogram {
+	for i, b := range bounds {
+		if math.IsNaN(b) || (i > 0 && bounds[i-1] >= b) {
+			panic(fmt.Sprintf("obs: histogram bounds must be strictly ascending and NaN-free (index %d)", i))
+		}
+	}
+	cp := make([]float64, len(bounds))
+	copy(cp, bounds)
+	return newHistogram(cp)
+}
+
+// Merge folds every observation recorded in other into h. Both histograms
+// must share identical bucket bounds. Counts and sums add; min and max fold
+// through min/max, so Merge is commutative and associative on the bucket
+// counts exactly and on quantile reads up to float summation order in Sum.
+func (h *Histogram) Merge(other *Histogram) error {
+	if other == nil {
+		return nil
+	}
+	counts := other.BucketCounts(make([]int64, 0, len(other.counts)))
+	n := other.Count()
+	var mn, mx float64
+	if n > 0 {
+		mn = math.Float64frombits(other.minBits.Load())
+		mx = math.Float64frombits(other.maxBits.Load())
+	}
+	return h.MergeParts(other.bounds, counts, other.Overflow(), other.Sum(), mn, mx)
 }

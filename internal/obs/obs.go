@@ -34,17 +34,6 @@ type Gauge struct{ bits atomic.Uint64 }
 // Set stores v.
 func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 
-// Add atomically adds d to the gauge.
-func (g *Gauge) Add(d float64) {
-	for {
-		old := g.bits.Load()
-		nv := math.Float64bits(math.Float64frombits(old) + d)
-		if g.bits.CompareAndSwap(old, nv) {
-			return
-		}
-	}
-}
-
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
@@ -233,12 +222,6 @@ var countBuckets = func() []float64 {
 	return b
 }()
 
-// LatencyBuckets returns the default geometric latency bounds (seconds).
-func LatencyBuckets() []float64 { return latencyBuckets }
-
-// CountBuckets returns the default 1-2-5 size bounds.
-func CountBuckets() []float64 { return countBuckets }
-
 // Registry is a concurrency-safe named collection of metrics plus a ring
 // buffer of recently completed spans and a bounded event journal.
 type Registry struct {
@@ -250,7 +233,6 @@ type Registry struct {
 	ring     *spanRing
 	journal  *Journal
 	spanID   atomic.Uint64
-	procKey  atomic.Uint64
 }
 
 // DefaultSpanCapacity is the span-ring size NewRegistry uses.

@@ -52,14 +52,14 @@ func TestQuantileUniformWithinBucketWidth(t *testing.T) {
 
 func TestQuantileExponentialWithinBucketWidth(t *testing.T) {
 	const n = 20_000
-	h := newHistogram(LatencyBuckets())
+	h := newHistogram(latencyBuckets)
 	// Deterministic inverse-CDF grid of Exp(1): x_i = -ln(1 - u_i),
 	// exact quantile Q(q) = -ln(1-q).
 	for i := 0; i < n; i++ {
 		u := (float64(i) + 0.5) / n
 		h.Observe(-math.Log(1 - u))
 	}
-	bounds := LatencyBuckets()
+	bounds := latencyBuckets
 	bucketWidth := func(x float64) float64 {
 		lo := 0.0
 		for _, b := range bounds {

@@ -51,9 +51,6 @@ func (s *Span) Child(name string) *Span {
 	return s.reg.startSpanAt(name, TraceContext{TraceID: s.trace.TraceID, SpanID: s.id}, time.Now())
 }
 
-// Name returns the span's name.
-func (s *Span) Name() string { return s.name }
-
 // Context returns the trace context rooted at this span: children created
 // from it (locally or across a wire hop) become this span's children in
 // the assembled trace. The zero context is returned for untraced spans and
@@ -191,6 +188,3 @@ func (r *spanRing) recent() []SpanRecord {
 
 // RecentSpans returns the registry's buffered spans, oldest-first.
 func (r *Registry) RecentSpans() []SpanRecord { return r.spanRingRef().recent() }
-
-// SpansDropped returns how many spans were overwritten before being read.
-func (r *Registry) SpansDropped() int64 { return r.spanRingRef().totalDropped() }

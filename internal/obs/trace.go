@@ -55,17 +55,6 @@ func NewTracer(seed uint64, sampleEvery int) *Tracer {
 	return t
 }
 
-// Enabled reports whether the tracer ever samples.
-func (t *Tracer) Enabled() bool { return t != nil && t.every > 0 }
-
-// SampleEvery returns the sampling period (0 = disabled).
-func (t *Tracer) SampleEvery() int {
-	if t == nil {
-		return 0
-	}
-	return int(t.every)
-}
-
 // Sample draws the next batch sequence number and returns a root context
 // for it when that batch is sampled, the zero context otherwise. The
 // unsampled path performs one atomic add and no allocation.
@@ -79,12 +68,6 @@ func (t *Tracer) Sample() TraceContext {
 	}
 	return TraceContext{TraceID: DeriveID(t.seed, seq)}
 }
-
-// SetProcessKey tags every sampled span ID this registry derives with a
-// per-process key, so spans created by different processes for the same
-// trace cannot collide even when their local span counters align. The key
-// is conventionally a small role constant (agent=1, manager=2, query=3...).
-func (r *Registry) SetProcessKey(k uint64) { r.procKey.Store(k) }
 
 // StartSpanCtx starts a span joined to the given trace context: the span
 // becomes a child of tc.SpanID inside tc.TraceID. With the zero context it
@@ -103,7 +86,7 @@ func (r *Registry) StartSpanCtxAt(name string, tc TraceContext, start time.Time)
 func (r *Registry) startSpanAt(name string, tc TraceContext, start time.Time) *Span {
 	id := r.spanID.Add(1)
 	if tc.Sampled() {
-		id = DeriveID(tc.TraceID^r.procKey.Load(), id)
+		id = DeriveID(tc.TraceID, id)
 	}
 	return &Span{reg: r, name: name, id: id, parentID: tc.SpanID, trace: tc, start: start}
 }

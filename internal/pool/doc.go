@@ -1,6 +1,6 @@
 // Package pool is the bounded-concurrency worker pool under every parallel
-// path in the repository: sharded likelihood weighting and multi-chain
-// Gibbs (internal/infer), the batched posterior-query API (internal/core),
+// path in the repository: sharded likelihood weighting (internal/infer),
+// the batched posterior-query API (internal/core),
 // the decentralized per-service learners of the paper's Section 3.4
 // (internal/decentral), parallel dataset generation (internal/simsvc), and
 // the per-system-size experiment harnesses behind Figures 3-5

@@ -479,3 +479,23 @@ func TestDESRegimeShift(t *testing.T) {
 		t.Fatalf("regime shift ratio %g, want ~3", ratio)
 	}
 }
+
+// Mean returns the distribution mean, the oracle the sampling tests
+// compare draws against.
+func (d DelayDist) Mean() float64 {
+	switch d.Kind {
+	case DistGamma:
+		return d.A * d.B
+	case DistLogNormal:
+		// exp(mu + sigma²/2)
+		return math.Exp(d.A + d.B*d.B/2)
+	case DistExponential:
+		return 1 / d.A
+	case DistUniform:
+		return (d.A + d.B) / 2
+	case DistNormalPos:
+		return d.A // approximation for A >> B
+	default:
+		panic("simsvc: unknown distribution kind")
+	}
+}

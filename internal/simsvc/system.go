@@ -54,25 +54,6 @@ func (d DelayDist) Sample(rng *stats.RNG) float64 {
 	}
 }
 
-// Mean returns the distribution mean.
-func (d DelayDist) Mean() float64 {
-	switch d.Kind {
-	case DistGamma:
-		return d.A * d.B
-	case DistLogNormal:
-		// exp(mu + sigma²/2)
-		return math.Exp(d.A + d.B*d.B/2)
-	case DistExponential:
-		return 1 / d.A
-	case DistUniform:
-		return (d.A + d.B) / 2
-	case DistNormalPos:
-		return d.A // approximation for A >> B
-	default:
-		panic("simsvc: unknown distribution kind")
-	}
-}
-
 // Scaled returns the distribution with its mean multiplied by factor,
 // keeping the shape family fixed — the primitive behind mid-stream
 // workload shifts in drift experiments.

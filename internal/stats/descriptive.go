@@ -16,8 +16,7 @@ import (
 //
 // Empty semantics: with N == 0 the Min/Max fields hold the ±Inf sentinels
 // they were initialized with. Callers that print or aggregate extremes must
-// use Range, which reports emptiness explicitly instead of leaking the
-// sentinels.
+// check N first, so the sentinels never leak.
 type Summary struct {
 	N        int
 	mean, m2 float64
@@ -55,7 +54,7 @@ func (s *Summary) Add(x float64) {
 // accumulators. Removing a NaN decrements the NaNs counter. Min and Max
 // cannot be reverse-updated from moments alone, so after a Remove they are
 // high-water marks of everything ever Added, not of the surviving set; use
-// them (or Range) accordingly. Removing from an empty summary panics: it
+// them accordingly. Removing from an empty summary panics: it
 // always indicates accumulator corruption.
 func (s *Summary) Remove(x float64) {
 	if math.IsNaN(x) {
@@ -81,45 +80,6 @@ func (s *Summary) Remove(x float64) {
 	s.N--
 }
 
-// Merge folds another summary into s using the pairwise (Chan et al.)
-// update, making Welford accumulators mergeable across shards or agents.
-// Min/Max and NaNs combine exactly.
-func (s *Summary) Merge(o *Summary) {
-	if o == nil || (o.N == 0 && o.NaNs == 0) {
-		return
-	}
-	s.NaNs += o.NaNs
-	if o.N == 0 {
-		return
-	}
-	if s.N == 0 {
-		s.N, s.mean, s.m2 = o.N, o.mean, o.m2
-		s.Min, s.Max = o.Min, o.Max
-		return
-	}
-	n := float64(s.N + o.N)
-	d := o.mean - s.mean
-	s.m2 += o.m2 + d*d*float64(s.N)*float64(o.N)/n
-	s.mean += d * float64(o.N) / n
-	s.N += o.N
-	if o.Min < s.Min {
-		s.Min = o.Min
-	}
-	if o.Max > s.Max {
-		s.Max = o.Max
-	}
-}
-
-// Range returns the observed extremes and whether any (non-NaN) observation
-// exists. Empty summaries report ok == false instead of the ±Inf
-// sentinels, which callers must not print verbatim.
-func (s *Summary) Range() (lo, hi float64, ok bool) {
-	if s.N == 0 {
-		return 0, 0, false
-	}
-	return s.Min, s.Max, true
-}
-
 // Mean returns the running mean (0 for an empty summary).
 func (s *Summary) Mean() float64 { return s.mean }
 
@@ -131,20 +91,12 @@ func (s *Summary) Variance() float64 {
 	return s.m2 / float64(s.N)
 }
 
-// SampleVariance returns the unbiased (n-1) variance.
-func (s *Summary) SampleVariance() float64 {
-	if s.N < 2 {
-		return 0
-	}
-	return s.m2 / float64(s.N-1)
-}
-
 // Std returns the population standard deviation.
 func (s *Summary) Std() float64 { return math.Sqrt(s.Variance()) }
 
 // Summarize computes a Summary over a slice. NaN entries are skipped and
 // counted (see Summary); an empty slice yields N == 0, for which Min/Max
-// hold the ±Inf sentinels — consult Range before printing extremes.
+// hold the ±Inf sentinels — check N before printing extremes.
 func Summarize(xs []float64) *Summary {
 	s := NewSummary()
 	for _, x := range xs {
@@ -164,9 +116,6 @@ func Mean(xs []float64) float64 {
 	}
 	return s / float64(len(xs))
 }
-
-// Variance returns the population variance of xs.
-func Variance(xs []float64) float64 { return Summarize(xs).Variance() }
 
 // Std returns the population standard deviation of xs.
 func Std(xs []float64) float64 { return Summarize(xs).Std() }
@@ -242,69 +191,6 @@ func NormalCDF(x, mu, sigma float64) float64 {
 		panic("stats: NormalCDF with non-positive sigma")
 	}
 	return 0.5 * math.Erfc(-(x-mu)/(sigma*math.Sqrt2))
-}
-
-// Histogram is a fixed-bin histogram over [Lo, Hi).
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-	// Under and Over count samples that fall outside [Lo, Hi).
-	Under, Over int
-}
-
-// NewHistogram creates a histogram with bins equal-width bins.
-func NewHistogram(lo, hi float64, bins int) *Histogram {
-	if bins <= 0 || hi <= lo {
-		panic("stats: invalid histogram parameters")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, bins)}
-}
-
-// Add records one sample.
-func (h *Histogram) Add(x float64) {
-	switch {
-	case x < h.Lo:
-		h.Under++
-	case x >= h.Hi:
-		h.Over++
-	default:
-		width := (h.Hi - h.Lo) / float64(len(h.Counts))
-		i := int((x - h.Lo) / width)
-		if i >= len(h.Counts) {
-			i = len(h.Counts) - 1
-		}
-		h.Counts[i]++
-	}
-}
-
-// Total returns the number of in-range samples.
-func (h *Histogram) Total() int {
-	t := 0
-	for _, c := range h.Counts {
-		t += c
-	}
-	return t
-}
-
-// Density returns the normalized bin densities (integrating to ~1 over the
-// range). All zeros when the histogram is empty.
-func (h *Histogram) Density() []float64 {
-	out := make([]float64, len(h.Counts))
-	t := h.Total()
-	if t == 0 {
-		return out
-	}
-	width := (h.Hi - h.Lo) / float64(len(h.Counts))
-	for i, c := range h.Counts {
-		out[i] = float64(c) / (float64(t) * width)
-	}
-	return out
-}
-
-// BinCenter returns the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	width := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return h.Lo + (float64(i)+0.5)*width
 }
 
 // EmpiricalExceedance returns the fraction of xs strictly greater than h.

@@ -8,7 +8,7 @@
 // derives child stream i purely from the parent's current state and the
 // index — WITHOUT advancing the parent — so concurrent workers can each
 // own an independent deterministic stream. Every parallel fan-out in the
-// repo (sharded likelihood weighting, Gibbs chains, batched queries,
+// repo (sharded likelihood weighting, batched queries,
 // decentralized learners, dataset generation, experiment repetitions)
 // assigns streams by work-item index, never by worker identity, which is
 // what makes results identical for a fixed seed at any worker count.

@@ -31,57 +31,6 @@ func TestSummaryNaNSkipAndCount(t *testing.T) {
 	}
 }
 
-// An empty summary must report emptiness through Range rather than leaking
-// the ±Inf Min/Max sentinels.
-func TestSummaryEmptyRange(t *testing.T) {
-	s := Summarize(nil)
-	if lo, hi, ok := s.Range(); ok || lo != 0 || hi != 0 {
-		t.Fatalf("empty Range() = (%g,%g,%v), want (0,0,false)", lo, hi, ok)
-	}
-	s.Add(4)
-	if lo, hi, ok := s.Range(); !ok || lo != 4 || hi != 4 {
-		t.Fatalf("Range() = (%g,%g,%v), want (4,4,true)", lo, hi, ok)
-	}
-	// A NaN-only summary is still empty.
-	n := Summarize([]float64{math.NaN()})
-	if _, _, ok := n.Range(); ok {
-		t.Fatal("NaN-only summary must report an empty range")
-	}
-}
-
-func TestSummaryMerge(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	for cut := 0; cut <= len(xs); cut++ {
-		a := Summarize(xs[:cut])
-		b := Summarize(xs[cut:])
-		a.Merge(b)
-		want := Summarize(xs)
-		if a.N != want.N {
-			t.Fatalf("cut %d: N=%d want %d", cut, a.N, want.N)
-		}
-		if math.Abs(a.Mean()-want.Mean()) > 1e-12 || math.Abs(a.Variance()-want.Variance()) > 1e-12 {
-			t.Fatalf("cut %d: merged mean/var %g/%g, want %g/%g", cut, a.Mean(), a.Variance(), want.Mean(), want.Variance())
-		}
-		if a.Min != want.Min || a.Max != want.Max {
-			t.Fatalf("cut %d: merged min/max %g/%g, want %g/%g", cut, a.Min, a.Max, want.Min, want.Max)
-		}
-	}
-	// NaN counters combine, and merging into/from empties is safe.
-	a := NewSummary()
-	a.Add(math.NaN())
-	b := NewSummary()
-	b.Add(1)
-	b.Add(math.NaN())
-	a.Merge(b)
-	if a.N != 1 || a.NaNs != 2 || a.Mean() != 1 {
-		t.Fatalf("merge with NaNs: %+v", a)
-	}
-	a.Merge(nil) // no-op
-	if a.N != 1 {
-		t.Fatal("Merge(nil) must be a no-op")
-	}
-}
-
 // Remove must invert Add on the moments (sliding-window accumulators).
 func TestSummaryRemove(t *testing.T) {
 	rng := NewRNG(7)

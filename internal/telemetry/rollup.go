@@ -79,16 +79,6 @@ func NewAggregator(opts AggregatorOptions) *Aggregator {
 // exposition endpoint read it like any other registry.
 func (a *Aggregator) Fleet() *obs.Registry { return a.fleet }
 
-// Origin returns origin src's rollup registry, or nil if src never shipped.
-func (a *Aggregator) Origin(src string) *obs.Registry {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if os := a.origins[src]; os != nil {
-		return os.reg
-	}
-	return nil
-}
-
 // Apply folds one snapshot into the rollups. It returns false when the
 // snapshot is an at-least-once duplicate — same (source, epoch) with a
 // sequence number at or below the applied watermark — which the journaled

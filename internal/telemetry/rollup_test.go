@@ -293,3 +293,19 @@ func TestShipperStartStop(t *testing.T) {
 		}
 	}
 }
+
+// SenderFunc adapts a function to the Sender interface.
+type SenderFunc func(*binfmt.TelemetrySnapshot) error
+
+// SendTelemetry implements Sender.
+func (f SenderFunc) SendTelemetry(s *binfmt.TelemetrySnapshot) error { return f(s) }
+
+// Origin returns origin src's rollup registry, or nil if src never shipped.
+func (a *Aggregator) Origin(src string) *obs.Registry {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if os := a.origins[src]; os != nil {
+		return os.reg
+	}
+	return nil
+}

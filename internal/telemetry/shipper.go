@@ -34,12 +34,6 @@ type Sender interface {
 	SendTelemetry(*binfmt.TelemetrySnapshot) error
 }
 
-// SenderFunc adapts a function to the Sender interface.
-type SenderFunc func(*binfmt.TelemetrySnapshot) error
-
-// SendTelemetry implements Sender.
-func (f SenderFunc) SendTelemetry(s *binfmt.TelemetrySnapshot) error { return f(s) }
-
 // ShipperOptions configures one process's snapshot stream.
 type ShipperOptions struct {
 	// Source names this process in the fleet (required, 1..255 bytes).

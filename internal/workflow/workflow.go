@@ -208,13 +208,6 @@ func (n *Node) ResponseTime(x []float64) float64 {
 	panic("workflow: unknown construct")
 }
 
-// ResponseTimeFunc returns f as a closure over elapsed times indexed by
-// service index — ready to install as a KERT-BN DetFunc once re-indexed by
-// the model builder.
-func (n *Node) ResponseTimeFunc() func([]float64) float64 {
-	return n.ResponseTime
-}
-
 // TimeoutCount evaluates the Section-3.3 variant of f for transaction
 // counts: the end-to-end timeout count is the sum of per-service
 // sub-transaction counts, D = Σ X_i.

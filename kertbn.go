@@ -154,10 +154,12 @@ var (
 	ThresholdViolationError = core.ThresholdViolationError
 	// ThresholdSweep evaluates ε across thresholds.
 	ThresholdSweep = core.ThresholdSweep
-	// NewScheduler creates a periodic reconstruction scheduler.
-	NewScheduler = core.NewScheduler
-	// CombineCorrelationMetric derives K from autonomic change intervals.
-	CombineCorrelationMetric = core.CombineCorrelationMetric
+	// NewScheduler creates a periodic reconstruction scheduler that
+	// rebuilds through an incremental builder such as NewIncrementalKERT's.
+	NewScheduler = core.NewSchedulerIncremental
+	// NewIncrementalKERT creates a KERT-BN builder over a sliding window
+	// that refits from sufficient statistics.
+	NewIncrementalKERT = core.NewIncrementalKERT
 	// ColumnNames returns the canonical dataset column layout.
 	ColumnNames = core.ColumnNames
 	// SaveModel serializes a model for later query-only use.
@@ -309,35 +311,16 @@ var (
 
 // Advanced inference and learning tools.
 type (
-	// JunctionTree is a compiled clique tree answering all marginals in one
-	// propagation (for discrete models).
-	JunctionTree = infer.JunctionTree
 	// DiscreteEvidence maps node id → observed state for exact inference.
 	DiscreteEvidence = infer.DiscreteEvidence
-	// EMOptions and EMResult configure/report expectation-maximization
-	// parameter learning from data with missing cells.
-	EMOptions = learn.EMOptions
-	EMResult  = learn.EMResult
 	// SequentialUpdater folds observations into CPTs without forgetting —
 	// the Section-2 updating scheme the Motivation experiment stress-tests.
 	SequentialUpdater = learn.SequentialUpdater
 )
 
-// Advanced entry points.
-var (
-	// CompileJunctionTree builds the clique tree of a discrete network
-	// (e.g. model.Net for a discrete KERT-BN).
-	CompileJunctionTree = infer.CompileJunctionTree
-	// EM runs expectation-maximization on a discrete network with missing
-	// data (math.NaN cells).
-	EM = learn.EM
-	// DefaultEMOptions returns the standard EM settings.
-	DefaultEMOptions = learn.DefaultEMOptions
-	// NewSequentialUpdater wraps a discrete network for count updating.
-	NewSequentialUpdater = learn.NewSequentialUpdater
-	// NewSequentialUpdaterSkip is NewSequentialUpdater with fixed nodes.
-	NewSequentialUpdaterSkip = learn.NewSequentialUpdaterSkip
-)
+// NewSequentialUpdaterSkip wraps a discrete network for count updating,
+// leaving the given nodes fixed.
+var NewSequentialUpdaterSkip = learn.NewSequentialUpdaterSkip
 
 // Experiment harness re-exports: each function regenerates one figure of
 // the paper's evaluation.

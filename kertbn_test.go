@@ -138,14 +138,12 @@ func TestPublicAPIDecentralized(t *testing.T) {
 
 func TestPublicAPIScheduler(t *testing.T) {
 	sys := kertbn.EDiaMoNDSystem()
-	builder := func(w *kertbn.Dataset) (*kertbn.Model, error) {
-		return kertbn.BuildKERT(kertbn.DefaultKERTConfig(sys.Workflow), w)
+	cfg := kertbn.ScheduleConfig{TData: 1, Alpha: 5, K: 2}
+	ik, err := kertbn.NewIncrementalKERT(kertbn.DefaultKERTConfig(sys.Workflow), cfg.WindowPoints())
+	if err != nil {
+		t.Fatal(err)
 	}
-	sched, err := kertbn.NewScheduler(
-		kertbn.ScheduleConfig{TData: 1, Alpha: 5, K: 2},
-		kertbn.ColumnNames(kertbn.EDiaMoNDServiceNames, nil),
-		builder,
-	)
+	sched, err := kertbn.NewScheduler(cfg, ik)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,10 +205,10 @@ func mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// TestPublicAPIMissingDataPath exercises the full dComp motivation: a
-// monitoring point goes dark, the management server accumulates incomplete
-// rows, and dComp estimates the dark service's elapsed time from what was
-// observed — then EM refines CPTs offline from the partial rows.
+// TestPublicAPIMissingDataPath exercises the dComp motivation: a
+// monitoring point goes dark, so the management server assembles no
+// complete rows, and dComp estimates the dark service's elapsed time from
+// what the other points observed.
 func TestPublicAPIMissingDataPath(t *testing.T) {
 	const dark = 3 // image_locator_remote loses instrumentation
 	sys := kertbn.EDiaMoNDSystem()
@@ -247,6 +245,7 @@ func TestPublicAPIMissingDataPath(t *testing.T) {
 		points[j] = agent.NewPoint(j)
 	}
 	const nReq = 200
+	observed := map[int]float64{}
 	for req := int64(0); req < nReq; req++ {
 		row, err := sys.Sample(rng)
 		if err != nil {
@@ -257,28 +256,14 @@ func TestPublicAPIMissingDataPath(t *testing.T) {
 				continue
 			}
 			points[j].Observe(req, row[j])
+			observed[j] += row[j] / nReq
 		}
 	}
 	if err := agent.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	partial := srv.DrainIncomplete(len(cols) - 1)
-	if len(partial) != nReq {
-		t.Fatalf("drained %d partial rows, want %d", len(partial), nReq)
-	}
 
 	// dComp: estimate the dark service from observation means.
-	observed := map[int]float64{}
-	for j := range cols {
-		if j == dark {
-			continue
-		}
-		s := 0.0
-		for _, row := range partial {
-			s += row[j]
-		}
-		observed[j] = s / float64(len(partial))
-	}
 	post, err := kertbn.DComp(model, dark, observed, kertbn.DCompOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -288,24 +273,4 @@ func TestPublicAPIMissingDataPath(t *testing.T) {
 		t.Fatalf("dComp estimate %g implausible vs actual %g", post.Mean(), actual)
 	}
 
-	// EM: refine the CPTs from the partial rows (encoded, NaN preserved).
-	enc := make([][]float64, len(partial))
-	for i, row := range partial {
-		e := make([]float64, len(row))
-		for j, v := range row {
-			if math.IsNaN(v) {
-				e[j] = math.NaN()
-				continue
-			}
-			e[j] = float64(model.Codec.Discretizers[j].Bin(v))
-		}
-		enc[i] = e
-	}
-	res, err := kertbn.EM(model.Net, enc, kertbn.DefaultEMOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Iterations == 0 {
-		t.Fatal("EM did no iterations")
-	}
 }
