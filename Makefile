@@ -20,9 +20,10 @@ race:
 	$(GO) test -race ./internal/obs/ ./internal/monitor/ ./internal/decentral/ ./internal/pool/ ./internal/infer/ ./internal/faulty/ ./internal/wire/ ./internal/wire/binfmt/ ./internal/dataset/ ./internal/core/ ./internal/health/ ./internal/gateway/ ./internal/journal/ ./internal/telemetry/
 
 # Incremental-vs-full equivalence: refits from sufficient statistics must
-# match from-scratch builds (bit-identical discrete, <= 1e-9 continuous).
+# match from-scratch builds (bit-identical discrete, <= 1e-9 continuous),
+# and the discrete D-CPT must equal its per-lane reference bit for bit.
 equivalence:
-	$(GO) test ./internal/core -run 'Incremental.*Equivalence' -count=1 -v
+	$(GO) test ./internal/core -run 'Incremental.*Equivalence|DetCPTMatches' -count=1 -v
 	$(GO) test ./internal/learn -run 'Stats.*Equivalence' -count=1 -v
 
 # Fuzz the framed wire codec: Decode must never panic on truncated or
@@ -35,8 +36,8 @@ fuzz:
 	$(GO) test ./internal/journal -fuzz=FuzzJournalDecode -fuzztime=20s
 
 # Allocation gates: the per-row hot paths (frame encode, health scoring,
-# stream ingest, compiled-plan LW sampling, the timeout-count f, the lane
-# evaluator's step) must not allocate, and exact inference for P(D), the
+# stream ingest, compiled-plan LW sampling, the timeout-count f, a D-CPT
+# lane's grid evaluation) must not allocate, and exact inference for P(D), the
 # D-CPT on kertmon's discrete model, an agent batch and a health deploy's
 # sample storage stay within their budgets.
 alloc:

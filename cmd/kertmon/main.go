@@ -175,20 +175,20 @@ func main() {
 	// from the sliding window. Rebuilds are incremental — per-family
 	// sufficient statistics track the window as rows arrive and each
 	// reconstruction refits from them.
-	relearn := func(m *core.Model, w *dataset.Dataset, tc obs.TraceContext) error {
-		if !*useDecen {
-			return nil
-		}
+	var relearn relearnFunc
+	if *useDecen {
 		// The paper's Section-3.4 scheme, live: each monitoring agent
 		// learns its own service's CPD after the parent columns ship
 		// over; the per-node times land in the
 		// decentral.node_learn.seconds histogram. A sampled build trace
 		// threads through the round: the learn span and every per-attempt
 		// ship join the rebuild's trace.
-		if err := decentralRelearn(m, w, *workers, chaos, *retries, tc); err != nil {
-			return fmt.Errorf("decentralized re-learn: %w", err)
+		relearn = func(m *core.Model, w *dataset.Dataset, tc obs.TraceContext) error {
+			if err := decentralRelearn(m, w, *workers, chaos, *retries, tc); err != nil {
+				return fmt.Errorf("decentralized re-learn: %w", err)
+			}
+			return nil
 		}
-		return nil
 	}
 	scfg := core.ScheduleConfig{
 		TData: 20 * time.Second, // nominal; the run is in simulated time
@@ -474,7 +474,8 @@ func modelConfig(wf *workflow.Node) core.KERTConfig {
 	return kcfg
 }
 
-// relearnFunc runs after each refit over the model and its window.
+// relearnFunc runs after each refit over the model and its window; nil
+// means no relearn, and no window snapshot is taken.
 type relearnFunc func(*core.Model, *dataset.Dataset, obs.TraceContext) error
 
 // newScheduler builds kertmon's reconstruction scheduler: an incremental
@@ -506,8 +507,8 @@ func (b *relearnBuilder) SetBuildTrace(tc obs.TraceContext) { b.trace = tc }
 
 func (b *relearnBuilder) Build() (*core.Model, error) {
 	m, err := b.IncrementalKERT.Build()
-	if err != nil {
-		return nil, err
+	if err != nil || b.relearn == nil {
+		return m, err
 	}
 	return m, b.relearn(m, b.Snapshot(), b.trace)
 }

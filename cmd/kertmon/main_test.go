@@ -74,3 +74,32 @@ func TestDriftRebuildTruncatesWindow(t *testing.T) {
 		t.Errorf("relearn ran %d times, want %d (once per generation)", relearns, k+1)
 	}
 }
+
+// TestSchedulerWithoutRelearnBuilds: with decentralized relearning off,
+// kertmon's scheduler gets a nil relearn and still builds every
+// generation, without the window snapshot a relearn would take.
+func TestSchedulerWithoutRelearnBuilds(t *testing.T) {
+	const alpha, k = 50, 2
+	scfg := core.ScheduleConfig{TData: time.Second, Alpha: alpha, K: k}
+	sched, err := newScheduler(modelConfig(workflow.EDiaMoND()), scfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := simsvc.EDiaMoNDSystem().GenerateDataset(k*alpha, stats.NewRNG(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	built := 0
+	for _, r := range data.Rows {
+		m, err := sched.Push(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m != nil {
+			built++
+		}
+	}
+	if built != k || sched.Rebuilds() != k {
+		t.Fatalf("%d rows built %d models (%d rebuilds), want %d", k*alpha, built, sched.Rebuilds(), k)
+	}
+}

@@ -220,9 +220,9 @@ func referenceTabularFactor(t *Tabular, nodeID int, parentIDs []int) *factor.Fac
 	return f
 }
 
-// TestTabularFactorMatchesReference: the strided copy equals the
-// entry-by-entry conversion bit for bit, with the parent ids all below the
-// node id (a plain copy), all above it, and on both sides of it.
+// TestTabularFactorMatchesReference: the factor equals the entry-by-entry
+// conversion bit for bit, with the parent ids all below the node id (P read
+// in place), all above it, and on both sides of it (strided copies).
 func TestTabularFactorMatchesReference(t *testing.T) {
 	rng := stats.NewRNG(11)
 	for _, tc := range []struct {

@@ -148,9 +148,11 @@ func (t *Tabular) Sample(rng *stats.RNG, parents []float64) float64 {
 
 // Factor renders the CPT as a discrete factor over (node, parents) given
 // the node's variable id and its parent ids (sorted ascending, matching the
-// owning Network). P is already row-major over (parents..., node), so this
-// is a strided copy of P, and a plain copy when the node id exceeds every
-// parent id, as in every KERT-BN. Used by variable elimination.
+// owning Network). P is row-major over (parents..., node): when the node id
+// exceeds every parent id, as in every KERT-BN, that is the factor's sorted
+// layout and the factor reads P in place (see factor.FromTable), so P must
+// not change while it is in use; otherwise the factor gets a strided copy.
+// Used by variable elimination, which never writes its input factors.
 func (t *Tabular) Factor(nodeID int, parentIDs []int) *factor.Factor {
 	if len(parentIDs) != len(t.ParentCard) {
 		panic("bn: Factor parent arity mismatch")

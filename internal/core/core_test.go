@@ -13,7 +13,7 @@ import (
 )
 
 // edData generates eDiaMoND training/test data.
-func edData(t *testing.T, n int, seed uint64) (*simsvc.System, *dataset.Dataset) {
+func edData(t testing.TB, n int, seed uint64) (*simsvc.System, *dataset.Dataset) {
 	t.Helper()
 	sys := simsvc.EDiaMoNDSystem()
 	rng := stats.NewRNG(seed)

@@ -15,7 +15,7 @@ import (
 	"kertbn/internal/workflow"
 )
 
-// referenceDetCPT is the D-CPT without the lane evaluator: it decodes every
+// referenceDetCPT is the D-CPT without the grid kernel: it decodes every
 // row's parent assignment with ConfigAssignment and calls the workflow's
 // own f once per lane. With one sample it maps the bin centers through f,
 // the center-point table of the Equation-4 translation.
@@ -137,14 +137,18 @@ func binPools(codec *dataset.Codec, n, bins int, train *dataset.Dataset) [][][]f
 
 // TestDetCPTMatchesPerLaneReference: over seeded random workflows (every
 // construct kind, services relabeled out of index order, single-task roots
-// included), both metrics, empty pools and S ∈ {1, 3, 16}, every D-CPT
-// entry and the cost equal the reference that calls f once per lane, bit
-// for bit. At S = 1 that reference is the center-point table.
+// included) of up to 6 services and 6 bins, both metrics, leak 0 and 0.05,
+// empty pools and S ∈ {1, 3, 16}, every D-CPT entry and the cost equal the
+// reference that calls f once per lane, bit for bit. Every third trial
+// draws small integers without noise: its pools hold tied values and its
+// f lands exactly on integer D cuts. At S = 1 the reference is the
+// center-point table.
 func TestDetCPTMatchesPerLaneReference(t *testing.T) {
 	rng := stats.NewRNG(20)
+	onCut := 0
 	for trial := 0; trial < 200; trial++ {
-		n := 1 + trial%5
-		bins := 2 + rng.Intn(3)
+		n := 1 + trial%6
+		bins := 2 + rng.Intn(5)
 		cfg := DefaultKERTConfig(randomWorkflow(t, n, rng))
 		cfg.Type = DiscreteModel
 		cfg.Bins = bins
@@ -153,6 +157,7 @@ func TestDetCPTMatchesPerLaneReference(t *testing.T) {
 		cfg.DetCPTSamples = []int{1, 3, 16}[rng.Intn(3)]
 		cfg.fillDefaults()
 		f := cfg.metricFunc()
+		integer := trial%3 == 2
 
 		cols := make([]string, n+1)
 		for i := range cols {
@@ -162,9 +167,16 @@ func TestDetCPTMatchesPerLaneReference(t *testing.T) {
 		for r := 5 + rng.Intn(60); r > 0; r-- {
 			row := make([]float64, n+1)
 			for i := 0; i < n; i++ {
-				row[i] = rng.Exponential(1 + float64(i))
+				if integer {
+					row[i] = float64(rng.Intn(4))
+				} else {
+					row[i] = rng.Exponential(1 + float64(i))
+				}
 			}
-			row[n] = f(row[:n]) + rng.Normal(0, 0.1)
+			row[n] = f(row[:n])
+			if !integer {
+				row[n] += rng.Normal(0, 0.1)
+			}
 			if err := train.Append(row); err != nil {
 				t.Fatal(err)
 			}
@@ -182,6 +194,21 @@ func TestDetCPTMatchesPerLaneReference(t *testing.T) {
 			}
 		}
 		dDisc := codec.Discretizers[n]
+		if integer {
+			// Integer cuts across D's range, which integer f values hit.
+			d := *dDisc
+			d.Cuts = make([]float64, bins-1)
+			step := max(1, int(d.Hi)/bins)
+			for k := range d.Cuts {
+				d.Cuts[k] = float64((k + 1) * step)
+			}
+			dDisc = &d
+			for _, r := range train.Rows {
+				if slices.Contains(d.Cuts, r[n]) {
+					onCut++
+				}
+			}
+		}
 		got, gotCost, err := detCPTFromPools(cfg, codec, dDisc, n, pools)
 		if err != nil {
 			t.Fatal(err)
@@ -199,6 +226,9 @@ func TestDetCPTMatchesPerLaneReference(t *testing.T) {
 					trial, cfg.Workflow, cfg.Metric, cfg.DetCPTSamples, i, got.P[i], want.P[i])
 			}
 		}
+	}
+	if onCut == 0 {
+		t.Error("no training row's f landed exactly on a D cut")
 	}
 }
 
@@ -259,7 +289,7 @@ func TestDetCPTLanesStratified(t *testing.T) {
 
 // kertmonDetCPTConfig is kertmon's discrete model (eDiaMoND, 6 bins, Leak
 // 0.02, the default 16 samples) over a 300-row window drawn from seed.
-func kertmonDetCPTConfig(t *testing.T, seed uint64) (KERTConfig, *dataset.Codec, *dataset.Dataset, [][][]float64) {
+func kertmonDetCPTConfig(t testing.TB, seed uint64) (KERTConfig, *dataset.Codec, *dataset.Dataset, [][][]float64) {
 	t.Helper()
 	sys, train := edData(t, 300, seed)
 	cfg := DefaultKERTConfig(sys.Workflow)
@@ -368,6 +398,28 @@ func TestDetCPTAllocBudget(t *testing.T) {
 	}
 	if bytes > maxBytes {
 		t.Errorf("one D-CPT allocates %d bytes, want <= %d", bytes, maxBytes)
+	}
+}
+
+// BenchmarkDetCPT reports the time and allocations of one D-CPT on
+// kertmon's discrete model (seed 3's window) for both metrics: the
+// eDiaMoND response-time tree, and the timeout-count tree, a flat sequence
+// whose last child is a single task.
+func BenchmarkDetCPT(b *testing.B) {
+	for _, metric := range []MetricKind{ResponseTimeMetric, TimeoutCountMetric} {
+		b.Run(metric.String(), func(b *testing.B) {
+			cfg, codec, _, pools := kertmonDetCPTConfig(b, 3)
+			cfg.Metric = metric
+			n := len(pools)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := detCPTFromPools(cfg, codec, codec.Discretizers[n], n, pools); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e6/float64(b.N), "ms/D-CPT")
+		})
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -172,6 +173,11 @@ func BuildKERT(cfg KERTConfig, train *dataset.Dataset) (*Model, error) {
 	}
 	if train.NumRows() == 0 {
 		return nil, fmt.Errorf("core: empty training data")
+	}
+	for i, r := range train.Rows {
+		if err := dataset.CheckFinite(r, train.Columns); err != nil {
+			return nil, fmt.Errorf("core: training row %d: %w", i, err)
+		}
 	}
 	switch cfg.Type {
 	case ContinuousModel:
@@ -454,51 +460,142 @@ func newBinPools(n, bins int) [][][]float64 {
 // on the pools' contents, not on their order, so two calls over pools with
 // equal contents produce bit-identical tables.
 //
-// Rows are visited in odometer order, last parent fastest, and a
-// LaneEval over S lanes evaluates f: a step that changes the bins of
-// services k..n−1 recomputes only the workflow constructs containing one of
-// them. Lane s of row c is f at (lanes[0][c₀][s], …, lanes[n−1][c_{n−1}][s]),
-// bit for bit.
+// The table is built one lane at a time. For lane s, a workflow.Grid folds
+// f over the whole parent-bin grid, parent i taking its lane-s values
+// lanes[i][0..Bins−1][s], up to the root's last fold f = a ⊕ b, bit for bit
+// f at (lanes[0][c₀][s], …, lanes[n−1][c_{n−1}][s]) for every row c.
+// Workflow.Validate makes every construct non-decreasing in each child
+// (each service appears once, choice probabilities are ≥ 0 and loop
+// probabilities lie in [0, 1)), and so is ⊕, a sum or a max. With the
+// smaller operand's points sorted once per lane (36 for eDiaMoND, against
+// 1,296 in the parallel block), the rows that pair one point of the other
+// operand with them, in that order, have non-decreasing f: one walk per
+// point compares a ⊕ b against the ascending cuts with a bin index that
+// only moves up, so each row's bin is the one Bin gives f at the cost of
+// one add or max per row and lane, where the row-by-row build called f and
+// a binary search.
+//
+// Each row's lane adds 1 to its entry for that bin: P holds exact
+// small-integer counts until the last lane. Each entry is then leak/Bins
+// plus w added count times, divided by the row's total — the additions,
+// in their order, and the normalization of SetRow in the row-by-row build,
+// so every entry equals that build's bit for bit.
 func detCPTFromPools(cfg KERTConfig, codec *dataset.Codec, dDisc *dataset.Discretizer, n int, binVals [][][]float64) (*bn.Tabular, learn.Cost, error) {
+	bins, samples := cfg.Bins, cfg.DetCPTSamples
+	cuts := dDisc.Cuts
+	if len(cuts) >= bins {
+		return nil, learn.Cost{}, fmt.Errorf("core: D discretizer has %d bins, the D-CPT %d", len(cuts)+1, bins)
+	}
+	// Rows are normalized without SetRow's checks: with the leak in [0, 1]
+	// every entry is non-negative and every row's total positive.
+	if !(cfg.Leak >= 0 && cfg.Leak <= 1) {
+		return nil, learn.Cost{}, fmt.Errorf("core: D-CPT leak %g outside [0, 1]", cfg.Leak)
+	}
 	parentCard := make([]int, n)
+	rows := 1
 	for i := range parentCard {
-		parentCard[i] = cfg.Bins
+		parentCard[i] = bins
+		rows *= bins
 	}
-	tab := bn.NewTabular(cfg.Bins, parentCard)
-	samples := cfg.DetCPTSamples
-	lanes := detCPTLanes(codec, n, cfg.Bins, samples, binVals)
-	ev := workflow.NewLaneEval(cfg.metricTree(), samples)
-	for i := 0; i < n; i++ {
-		ev.Set(i, lanes[i][0])
+	// P starts at zero and holds each row's bin counts until the rows are
+	// normalized.
+	tab := &bn.Tabular{Card: bins, ParentCard: parentCard, P: make([]float64, rows*bins)}
+	cost := learn.Cost{DataOps: int64(rows) * int64(samples*n+bins)}
+	lanes := detCPTLanes(codec, n, bins, samples, binVals)
+	grid := workflow.NewGrid(cfg.metricTree(), bins)
+	isMax := grid.Max()
+	ia, ib := grid.Offsets()
+	swap := len(ib) < len(ia)
+	small, big := ia, ib
+	if swap {
+		small, big = ib, ia
 	}
-	// assign holds row cfgIdx's parent bins. It steps like an odometer,
-	// last parent fastest: the row order ConfigAssignment decodes.
-	assign := make([]int, n)
-	row := make([]float64, cfg.Bins)
+	x := make([][]float64, n)
+	for i := range x {
+		x[i] = make([]float64, bins)
+	}
+	pts := make([]gridPoint, len(small))
+	for s := 0; s < samples; s++ {
+		for i := range x {
+			for b := range x[i] {
+				x[i][b] = lanes[i][b][s]
+			}
+		}
+		sv, bv := grid.Eval(x)
+		if swap {
+			sv, bv = bv, sv
+		}
+		// A NaN operand, or an infinite one in a sum (only values past the
+		// float64 range make one), would break the order the walk relies on.
+		for j, f := range sv {
+			if unorderedOperand(f, isMax) {
+				return nil, cost, fmt.Errorf("core: D-CPT lane %d: f operand %v", s, f)
+			}
+			pts[j] = gridPoint{f: f, off: small[j] * bins}
+		}
+		slices.SortFunc(pts, func(p, q gridPoint) int { return cmp.Compare(p.f, q.f) })
+		for v, o := range bv {
+			if unorderedOperand(o, isMax) {
+				return nil, cost, fmt.Errorf("core: D-CPT lane %d: f operand %v", s, o)
+			}
+			row := tab.P[big[v]*bins:]
+			k := 0
+			for _, p := range pts {
+				f := lastFold(o, p.f, isMax)
+				for k < len(cuts) && f >= cuts[k] {
+					k++
+				}
+				row[p.off+k]++
+			}
+		}
+	}
+	// sum[c] is leak/Bins plus w added c times, the entry of a bin that c
+	// of the row's samples reached.
 	w := (1 - cfg.Leak) / float64(samples)
-	var cost learn.Cost
-	for cfgIdx := 0; cfgIdx < tab.Rows(); cfgIdx++ {
-		for k := range row {
-			row[k] = cfg.Leak / float64(cfg.Bins)
+	sum := make([]float64, samples+1)
+	sum[0] = cfg.Leak / float64(bins)
+	for c := 1; c <= samples; c++ {
+		sum[c] = sum[c-1] + w
+	}
+	row := make([]float64, bins)
+	for r := 0; r < rows; r++ {
+		dst := tab.P[r*bins : (r+1)*bins]
+		total := 0.0
+		for k, c := range dst {
+			row[k] = sum[int(c)]
+			total += row[k]
 		}
-		for _, d := range ev.Eval() {
-			row[dDisc.Bin(d)] += w
-		}
-		cost.DataOps += int64(samples*n + cfg.Bins)
-		if err := tab.SetRow(cfgIdx, row); err != nil {
-			return nil, cost, err
-		}
-		for i := n - 1; i >= 0; i-- {
-			if assign[i]++; assign[i] == cfg.Bins {
-				assign[i] = 0
-			}
-			ev.Set(i, lanes[i][assign[i]])
-			if assign[i] != 0 {
-				break
-			}
+		for k, e := range row {
+			dst[k] = e / total
 		}
 	}
 	return tab, cost, nil
+}
+
+// gridPoint is one point of a D-CPT lane's sorted last-fold operand: its
+// value and the offset of its rows' entries in the table.
+type gridPoint struct {
+	f   float64
+	off int
+}
+
+// unorderedOperand reports whether f, an operand of a max or a sum, can
+// make that fold NaN or unsortable.
+func unorderedOperand(f float64, isMax bool) bool {
+	return math.IsNaN(f) || !isMax && math.IsInf(f, 0)
+}
+
+// lastFold is a workflow.Grid's last fold of its operands: their max, as
+// ResponseTime takes it, or their sum. D-CPT rows need only its value,
+// which does not depend on the operands' order.
+func lastFold(a, b float64, isMax bool) float64 {
+	if !isMax {
+		return a + b
+	}
+	if b > a {
+		return b
+	}
+	return a
 }
 
 // detCPTLanes returns the D-CPT's shared sample lanes: lanes[i][b] holds

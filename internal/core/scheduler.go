@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"kertbn/internal/dataset"
 	"kertbn/internal/obs"
 )
 
@@ -205,6 +206,12 @@ func (s *Scheduler) PushCtx(row []float64, tc obs.TraceContext) (*Model, error) 
 		push = obs.StartSpanCtx("sched.push", tc)
 		defer push.End()
 		tc = push.Context()
+	}
+
+	// A NaN or infinite measurement is refused before it is scored or
+	// ingested.
+	if err := dataset.CheckFinite(row, nil); err != nil {
+		return nil, fmt.Errorf("core: rejected row: %w", err)
 	}
 
 	// Model-health scoring rides in front of ingestion: once a model is

@@ -4,6 +4,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 )
 
@@ -32,6 +33,25 @@ func (d *Dataset) Append(row []float64) error {
 		return fmt.Errorf("dataset: row width %d != %d columns", len(row), len(d.Columns))
 	}
 	d.Rows = append(d.Rows, append([]float64(nil), row...))
+	return nil
+}
+
+// CheckFinite returns an error naming the first column of row that holds a
+// NaN or an infinity, by its name in columns when columns has one and by
+// its index otherwise. Rows are checked where they enter a model (a
+// Window, the scheduler, a batch build): Bin would count a NaN in the top
+// bin, and a non-finite value would reach every model built from the
+// window.
+func CheckFinite(row []float64, columns []string) error {
+	for j, v := range row {
+		if !math.IsNaN(v) && !math.IsInf(v, 0) {
+			continue
+		}
+		if j < len(columns) {
+			return fmt.Errorf("dataset: column %q holds %v, not a finite measurement", columns[j], v)
+		}
+		return fmt.Errorf("dataset: column %d holds %v, not a finite measurement", j, v)
+	}
 	return nil
 }
 
@@ -132,7 +152,7 @@ func NewWindow(columns []string, capacity int) (*Window, error) {
 // Push appends a row, evicting the oldest when full. The evicted row (nil
 // while the window is still filling) is returned so streaming accumulators
 // can reverse-update their sufficient statistics for rows leaving the
-// window.
+// window. A row holding a NaN or an infinity is refused (CheckFinite).
 //
 // The evicted slice is valid only until the next Push: its backing array is
 // recycled as the copy target of a later row, which is what makes
@@ -141,6 +161,9 @@ func NewWindow(columns []string, capacity int) (*Window, error) {
 func (w *Window) Push(row []float64) (evicted []float64, err error) {
 	if len(row) != len(w.Columns) {
 		return nil, fmt.Errorf("dataset: row width %d != %d columns", len(row), len(w.Columns))
+	}
+	if err := CheckFinite(row, w.Columns); err != nil {
+		return nil, err
 	}
 	idx := (w.start + w.count) % w.Capacity
 	if w.count == w.Capacity {

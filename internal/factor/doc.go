@@ -29,8 +29,11 @@
 // variable followed by summing it out, into one pass with that same order,
 // so the product table is never built.
 //
-// There is no factor cache per model generation: converting a CPT is a
-// strided copy that costs under a millisecond even for kertmon's
-// 279,936-entry D-CPT, while a cache would have to be dropped every time
-// decentralized relearning installs new CPDs.
+// FromTable reads a table already in the factor's layout in place, as
+// every KERT-BN CPT is, and copies any other. That is not a cache per model
+// generation: nothing outlives the query, and a CPD that decentralized
+// relearning installs is read from its own table by the next query. It is
+// safe because no operation here writes its operands — Reduce, Product and
+// SumProduct allocate their outputs, and VE normalizes only its final
+// product — and because CPDs are replaced, never written, once built.
 package factor

@@ -19,6 +19,14 @@ type Factor struct {
 // New creates a zeroed factor over the given variables. vars need not be
 // sorted; card is parallel to vars as supplied.
 func New(vars []int, card []int) *Factor {
+	f, size := newScope(vars, card)
+	f.Values = make([]float64, size)
+	return f
+}
+
+// newScope returns a factor with vars and card sorted by variable id and no
+// table yet, and the table's size.
+func newScope(vars []int, card []int) (*Factor, int) {
 	if len(vars) != len(card) {
 		panic("factor: vars/card length mismatch")
 	}
@@ -45,20 +53,26 @@ func New(vars []int, card []int) *Factor {
 			panic(fmt.Sprintf("factor: duplicate variable %d in scope", f.Vars[i]))
 		}
 	}
-	f.Values = make([]float64, size)
-	return f
+	return f, size
 }
 
-// FromTable returns a factor holding a copy of values, a table laid out
-// row-major over vars in the order given (the first variable slowest); vars
-// need not be sorted, and card is parallel to them. The table moves to the
-// factor's sorted layout by a strided walk, which for a sorted vars is a
-// single run: a plain copy.
+// FromTable returns a factor over values, a table laid out row-major over
+// vars in the order given (the first variable slowest); vars need not be
+// sorted, and card is parallel to them. When vars is sorted, values is
+// already the factor's layout and the factor reads it in place; otherwise
+// the table moves to a new one in the sorted layout by a strided walk.
+// The caller must not change values while a factor reading it is in use.
+// No operation of this package writes its operands; Normalize and Set
+// write their receiver, so call them only on a factor that owns its table.
 func FromTable(vars, card []int, values []float64) *Factor {
-	f := New(vars, card)
-	if len(values) != len(f.Values) {
-		panic(fmt.Sprintf("factor: table has %d entries, scope needs %d", len(values), len(f.Values)))
+	if slices.IsSorted(vars) {
+		f, size := newScope(vars, card)
+		checkTableSize(values, size)
+		f.Values = values
+		return f
 	}
+	f := New(vars, card)
+	checkTableSize(values, len(f.Values))
 	given := strides(card)
 	str := make([]int, len(f.Vars))
 	for i, v := range f.Vars {
@@ -77,6 +91,12 @@ func FromTable(vars, card []int, values []float64) *Factor {
 		if !od.next() {
 			return f
 		}
+	}
+}
+
+func checkTableSize(values []float64, size int) {
+	if len(values) != size {
+		panic(fmt.Sprintf("factor: table has %d entries, scope needs %d", len(values), size))
 	}
 }
 

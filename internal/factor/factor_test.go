@@ -503,7 +503,9 @@ func TestKernelsMatchReferenceProperty(t *testing.T) {
 
 // TestFromTableMatchesReference: converting a table laid out over an
 // unsorted scope equals the entry-by-entry reference, bit for bit, for
-// sorted and permuted variable orders.
+// sorted and permuted variable orders. A table over a sorted scope is
+// already in the factor's layout and is read in place; any other is
+// copied.
 func TestFromTableMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 200; trial++ {
@@ -518,8 +520,12 @@ func TestFromTableMatchesReference(t *testing.T) {
 		for i := range values {
 			values[i] = rng.Float64()
 		}
-		if got, want := FromTable(vars, card, values), ReferenceFromTable(vars, card, values); !sameBits(got, want) {
+		got, want := FromTable(vars, card, values), ReferenceFromTable(vars, card, values)
+		if !sameBits(got, want) {
 			t.Fatalf("trial %d: FromTable over %v = %v, want %v", trial, vars, got.Values, want.Values)
+		}
+		if shared := &got.Values[0] == &values[0]; shared != slices.IsSorted(vars) {
+			t.Fatalf("trial %d: FromTable over %v shares the table: %v, want %v", trial, vars, shared, !shared)
 		}
 	}
 }

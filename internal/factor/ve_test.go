@@ -84,7 +84,8 @@ func referencePosterior(n *bn.Network, query int, ev infer.DiscreteEvidence) *fa
 // returns exactly the bits of the reference VE for P(D) and for the
 // evidence shapes of the end-to-end benchmark's query catalogue — paccel,
 // posterior and threshold condition D on one service, dcomp asks for a
-// service given image_list, work_list and D.
+// service given image_list, work_list and D — and leaves every CPT it
+// reads in place unchanged, bit for bit.
 func TestVEMatchesReferenceOnKertmonModel(t *testing.T) {
 	m := kertmonModel(t)
 	id := func(name string) int {
@@ -112,6 +113,12 @@ func TestVEMatchesReferenceOnKertmonModel(t *testing.T) {
 			il: bin(il, 0.09), wl: bin(wl, 0.14), m.DNode: bin(m.DNode, 0.9+means[i]),
 		}})
 	}
+	// VE reads the CPTs in place; the queries must leave every entry as
+	// it was.
+	var before [][]float64
+	for v := 0; v < m.Net.N(); v++ {
+		before = append(before, append([]float64(nil), m.Net.Node(v).CPD.(*bn.Tabular).P...))
+	}
 	for _, q := range queries {
 		got, err := infer.Posterior(m.Net, q.target, q.ev)
 		if err != nil {
@@ -124,6 +131,14 @@ func TestVEMatchesReferenceOnKertmonModel(t *testing.T) {
 		for i := range want.Values {
 			if math.Float64bits(got.Values[i]) != math.Float64bits(want.Values[i]) {
 				t.Fatalf("P(%d | %v) = %v, want %v bit for bit", q.target, q.ev, got.Values, want.Values)
+			}
+		}
+	}
+	for v, want := range before {
+		got := m.Net.Node(v).CPD.(*bn.Tabular).P
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("after %d queries, node %d's CPT entry %d = %v, want %v", len(queries), v, i, got[i], want[i])
 			}
 		}
 	}

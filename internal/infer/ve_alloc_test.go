@@ -33,9 +33,9 @@ func kertmonModel(tb testing.TB) *core.Model {
 
 // TestVEPosteriorAllocBudget bounds what one VE run for P(D) allocates on
 // kertmon's model: the health monitor pays it on every deployed generation
-// and the gateway on every discrete miss. The D-CPT's factor copy is
-// 2.24 MB of the budget; the fused eliminate step keeps the product over
-// D's family out of memory.
+// and the gateway on every discrete miss. The 2.24 MB D-CPT is read in
+// place, so a return to copying it fails the byte bound, and the fused
+// eliminate step keeps the product over D's family out of memory.
 func TestVEPosteriorAllocBudget(t *testing.T) {
 	m := kertmonModel(t)
 	run := func() {
@@ -44,7 +44,7 @@ func TestVEPosteriorAllocBudget(t *testing.T) {
 		}
 	}
 	run()
-	const maxAllocs, maxBytes = 1000, 3 << 20
+	const maxAllocs, maxBytes = 400, 600_000
 	if allocs := testing.AllocsPerRun(5, run); allocs > maxAllocs {
 		t.Errorf("VE for P(D) makes %v allocations per call, want <= %d", allocs, maxAllocs)
 	}
@@ -57,6 +57,8 @@ func TestVEPosteriorAllocBudget(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if bytes := (after.TotalAlloc - before.TotalAlloc) / calls; bytes > maxBytes {
 		t.Errorf("VE for P(D) allocates %d bytes per call, want <= %d", bytes, maxBytes)
+	} else {
+		t.Logf("VE for P(D): %d bytes per call", bytes)
 	}
 }
 

@@ -174,7 +174,7 @@ func (n *Node) collectNames(out map[int]string) {
 // ResponseTime evaluates the Cardoso-reduced deterministic function f(X)
 // given per-service elapsed times x (indexed by service index): this is the
 // f of the paper's Equation 4. For the eDiaMoND workflow it computes
-// D = X1 + X2 + max(X3+X5, X4+X6). LaneEval repeats its floating-point
+// D = X1 + X2 + max(X3+X5, X4+X6). Grid repeats its floating-point
 // operations in the same order, so the two agree bit for bit.
 func (n *Node) ResponseTime(x []float64) float64 {
 	switch n.kind {
@@ -222,7 +222,7 @@ func (n *Node) TimeoutCount(x []float64) float64 {
 // TimeoutCountTree returns the flat sequence Seq(Task(s)…) over the
 // workflow's services in sorted order. Its ResponseTime is TimeoutCount's
 // sum in TimeoutCount's order, without collecting the service set on every
-// call, and LaneEval can evaluate it.
+// call, and a Grid can evaluate it.
 func (n *Node) TimeoutCountTree() *Node {
 	svcs := n.Services()
 	tasks := make([]*Node, len(svcs))
